@@ -4,9 +4,10 @@ Every expected value is computed here from the scenario file alone, or
 from a property the method must have; nothing is compared against a
 stored copy of an earlier output.  The network and agent models are
 rebuilt from the bus and line parameters and discretized with
-``scipy.linalg.expm``, without ``dcmg.lti`` or ``dcmg.netmodel``.  The one
-call into the program is ``dcmg.uio.gain_step``, iterated to convergence
-on those independent matrices for the bias-response prediction.
+``scipy.linalg.expm``, without ``dcmg.lti`` or ``dcmg.netmodel``.  The only
+program code the checks run is ``dcmg.uio.gain_step``, iterated to
+convergence on an ``AgentModel`` holding those independent matrices, for
+the bias-response prediction.
 
 Noise bounds are six standard errors.  Means of autocorrelated residual
 windows use batch means (the observer's error decays with spectral

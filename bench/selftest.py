@@ -11,7 +11,6 @@ check is meant to catch.  Exits with 1 if any of that does not hold.
 from __future__ import annotations
 
 import copy
-import json
 import shutil
 import sys
 from pathlib import Path
