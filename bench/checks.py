@@ -43,9 +43,10 @@ class Event:
 class Outputs:
     """What a workload call produced, in the program's documented layout.
 
-    ``labels[i]`` are agent i's channel labels as the program names them;
-    ``y`` and ``x_local`` exist only where the call returns them
-    (``run_scenario``, not the CSV export of ``dcmg run``).
+    ``labels[i]`` are agent i's channel labels as the program names them.
+    ``dcmg run`` exports neither ``y`` nor ``x_local``; for its outputs
+    ``y`` is r + x_hat (C = I) and ``x_local`` is rebuilt by
+    ``metered_layer``.
     """
 
     times: np.ndarray
@@ -54,8 +55,8 @@ class Outputs:
     labels: dict[int, list[str]]
     residuals: dict[int, np.ndarray]
     events: list[Event]
-    y: dict[int, np.ndarray] | None = None
-    x_local: dict[int, np.ndarray] | None = None
+    y: dict[int, np.ndarray]
+    x_local: dict[int, np.ndarray]
 
 
 @dataclass
@@ -241,16 +242,46 @@ def _labels_ok(scn: dict, out: Outputs) -> str:
 # checks
 
 
+def plant_noise(scn: dict, x_true: np.ndarray) -> np.ndarray:
+    """x_true increments minus the ZOH prediction, (steps, n_state)."""
+    a_c, b_c, e_c, _ = global_model(scn)
+    a, bd = zoh(a_c, np.hstack([b_c, e_c]), scn["ts"])
+    u, d = input_series(scn, x_true.shape[0] - 1)
+    return x_true[1:] - x_true[:-1] @ a.T - np.hstack([u, d]) @ bd.T
+
+
+def metered_layer(scn: dict, x_true: np.ndarray) -> dict[int, np.ndarray]:
+    """Each agent's metered reality as the README describes it: the
+    agent's own ZOH model driven by its source, its load, the true
+    neighbour voltages and the plant's noise draws in its orientation,
+    started from its slice of the initial network state."""
+    n = len(scn["network"]["buses"])
+    w = plant_noise(scn, x_true)
+    u, d = input_series(scn, w.shape[0])
+    out = {}
+    for i in range(1, n + 1):
+        loc = agent_model(scn, i)
+        a, bd = zoh(loc.a, np.hstack([loc.b_x, loc.e]), scn["ts"])
+        index = [i - 1, n + i - 1] + [2 * n + k for k in loc.lines]
+        sign = np.array([1.0, 1.0] + loc.signs)
+        inputs = np.column_stack([u[:, i - 1], x_true[:-1, [nb - 1 for nb in loc.neighbours]], d[:, i - 1]])
+        drive = inputs @ bd.T + w[:, index] * sign
+        x = np.empty((w.shape[0] + 1, a.shape[0]))
+        x[0] = x_true[0, index] * sign
+        for k in range(w.shape[0]):
+            x[k + 1] = a @ x[k] + drive[k]
+        out[i] = x
+    return out
+
+
 def check_plant(scn: dict, out: Outputs) -> Check:
     """x_true increments minus the ZOH prediction are the process noise:
     mean 0 and variance q_state in every state."""
-    a_c, b_c, e_c, labels = global_model(scn)
+    labels = global_model(scn)[3]
     if labels != out.state_labels:
         return Check("plant", False, f"state labels {out.state_labels} != {labels}")
-    a, bd = zoh(a_c, np.hstack([b_c, e_c]), scn["ts"])
-    steps = out.x_true.shape[0] - 1
-    u, d = input_series(scn, steps)
-    w = out.x_true[1:] - out.x_true[:-1] @ a.T - np.hstack([u, d]) @ bd.T
+    w = plant_noise(scn, out.x_true)
+    steps = w.shape[0]
     q = scn["noise"]["q_state"]
     z_mean = w.mean(axis=0) / math.sqrt(q / steps)
     var = w.var(axis=0)
@@ -268,8 +299,6 @@ def check_plant(scn: dict, out: Outputs) -> Check:
 def check_metered(scn: dict, out: Outputs) -> Check:
     """y - C x_local (C = I) is the measurement noise: mean 0 and variance
     r_bus on V and Ig, r_line on every line current."""
-    if out.y is None or out.x_local is None:
-        return Check("metered", True, "not available from this call")
     if msg := _labels_ok(scn, out):
         return Check("metered", False, msg)
     noise = scn["noise"]
@@ -506,13 +535,17 @@ def outputs_from_cli(scn: dict, art: CliArtifacts) -> Outputs:
     state_labels = global_model(scn)[3]
     labels = {i: agent_model(scn, i).labels for i in range(1, n + 1)}
     pick = lambda names: art.data[:, [col[c] for c in names]]  # noqa: E731
+    x_true = pick(state_labels)
+    residuals = {i: pick([f"r_{lab}" for lab in labels[i]]) for i in labels}
     return Outputs(
         times=art.data[:, col["time"]],
         state_labels=[lab for lab in art.header if lab in state_labels],
-        x_true=pick(state_labels),
+        x_true=x_true,
         labels=labels,
-        residuals={i: pick([f"r_{lab}" for lab in labels[i]]) for i in labels},
+        residuals=residuals,
         events=art.events,
+        y={i: residuals[i] + pick([f"xhat_{lab}" for lab in labels[i]]) for i in labels},
+        x_local=metered_layer(scn, x_true),
     )
 
 

@@ -3,7 +3,7 @@
     python3 bench/selftest.py
 
 Runs the ``threebus_tv`` scenario once through ``run_scenario`` and once
-through ``dcmg run``, asserts that every check passes on those real
+through ``dcmg run``, asserts that every check passes on both real
 outputs, and then that each check fails on a copy corrupted the way that
 check is meant to catch.  Exits with 1 if any of that does not hold.
 """
@@ -46,6 +46,10 @@ def _rescale_attacked_residual(scn, out):
     out.residuals[1][:, c] *= 0.9
 
 
+def _shift_exported_estimate(scn, art):
+    art.data[:, art.header.index("xhat_Ig1")] += 20.0  # two sigma of r_bus
+
+
 def _delay_alarm_flag(scn, art):
     c = art.header.index("alarm1")
     art.data[1:, c] = art.data[:-1, c].copy()
@@ -81,9 +85,10 @@ def main() -> int:
     art = checks.read_cli_artifacts(work / "out")
 
     by_name = lambda results: {c.name: c for c in results}  # noqa: E731
-    clean = by_name(checks.run_checks(scn, outputs) + [checks.check_trace_file(scn, art)])
+    clean = checks.run_checks(scn, outputs)
+    clean += checks.run_checks(scn, checks.outputs_from_cli(scn, art)) + [checks.check_trace_file(scn, art)]
     bad = 0
-    for c in clean.values():
+    for c in clean:
         print(f"{'ok  ' if c.ok else 'FAIL'} {c.name} passes on the real output: {c.detail}")
         bad += not c.ok
     cases = [(name, what, fn, outputs, checks.run_checks) for name, what, fn in CORRUPTIONS]
@@ -91,6 +96,15 @@ def main() -> int:
         (name, what, fn, art, lambda s, a: [checks.check_trace_file(s, a)])
         for name, what, fn in FILE_CORRUPTIONS
     ]
+    cases.append(
+        (
+            "metered",
+            "trace.csv's xhat_Ig1 column shifted by +20 A",
+            _shift_exported_estimate,
+            art,
+            lambda s, a: checks.run_checks(s, checks.outputs_from_cli(s, a)),
+        )
+    )
     for name, what, corrupt, real, run in cases:
         copy_ = copy.deepcopy(real)
         corrupt(scn, copy_)

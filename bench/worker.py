@@ -19,10 +19,9 @@ MODE ``run`` and ``trace`` then make the workload's one call repeatedly:
    timed call the worker also times ``speed.reference_s`` REF_SAMPLES
    times and records their mean with the call.
 
-Warm calls are timed because the first call in a fresh process also pays
-for the host backing its memory.  On the reference box that makes the
-same call up to 1.6 times slower, and by a different amount each time,
-while warm calls agree within a few percent.  The worker writes one JSON
+Warm calls are timed because on the reference box the first call in a
+fresh process is up to 1.6 times slower than the calls after it, by a
+different amount each time, while warm calls agree within a few percent.  The worker writes one JSON
 object to RESULT_JSON.
 """
 
