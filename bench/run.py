@@ -15,7 +15,8 @@ Run from the root of a source checkout; the program is imported from its
 The last line of standard output is one JSON object:
 
 * ``--trace 0``: ``setup_s`` (median over the counted set-ups),
-  ``wall_s`` (median over the timed calls) and ``peak_rss_mb``;
+  ``wall_s`` (the mean of the timed calls without the fastest and the
+  slowest) and ``peak_rss_mb``;
 * ``--trace 1``: the timed calls alternate untraced and traced; the
   per-module metrics are medians over the traced calls, and
   ``trace.overhead_s`` is the median traced wall time minus the median
@@ -23,10 +24,11 @@ The last line of standard output is one JSON object:
 
 Times are reported at reference speed.  This shared host runs the same
 code up to 1.5 times slower for minutes at a time, so each call's times
-are multiplied by REF_S / (the reference computation's time right before
-that call), and its rates divided by it; each set-up time uses the
-reference time measured right after it, in the same process.  Details (raw times, check results, detection
-latencies, calibration ratios) go to
+are multiplied by REF_S / (the mean of the reference computation's times
+right before and right after that call), and its rates divided by it;
+each set-up time uses the reference time measured right after it, in the
+same process.  Details (raw times, check results, detection latencies,
+calibration ratios) go to
 ``.bench_out/<workload>/seed<N>/summary.json``.
 """
 
@@ -56,7 +58,7 @@ PINNED_ENV = {
     "NUMEXPR_NUM_THREADS": "1",
     "PYTHONHASHSEED": "0",
 }
-SETUP_RUNS = 5
+SETUP_RUNS = 3
 REF_S = 0.125  # speed.reference_s() on the reference box at full speed
 WORKER_TIMEOUT_S = 170
 
@@ -156,7 +158,10 @@ def main(argv=None) -> int:
     if plain and not args.trace:
         metrics = {
             "setup_s": statistics.median(s["setup_s"] * REF_S / s["reference_s"] for s in setups),
-            "wall_s": statistics.median(plain),
+            # on this host the mean of a run's calls varies less between runs
+            # than their median; leaving out the extremes keeps one stray
+            # call from moving it far (README, "Times at reference speed")
+            "wall_s": statistics.mean(sorted(plain)[1:-1] or plain),
             "peak_rss_mb": res["peak_rss_mb"],
         }
     elif plain and traced:

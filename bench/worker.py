@@ -15,9 +15,10 @@ MODE ``run`` and ``trace`` then make the workload's one call repeatedly:
 2. Then timed calls follow until SECONDS have passed and at least
    MIN_TIMED have run.  Each call's outputs are hashed and must match
    the first call's byte for byte.  With ``trace``, every second call
-   runs with spans around the program's functions.  Right before each
-   timed call the worker also times ``speed.reference_s`` REF_SAMPLES
-   times and records their mean with the call.
+   runs with spans around the program's functions.  Right before the
+   first timed call and right after each one, the worker times
+   ``speed.reference_s`` REF_SAMPLES times; each call is recorded with
+   the mean of the reference right before it and right after it.
 
 Warm calls are timed because on the reference box the first call in a
 fresh process is up to 1.6 times slower than the calls after it, by a
@@ -28,7 +29,7 @@ object to RESULT_JSON.
 import sys
 import time
 
-MIN_TIMED = {"run": 3, "trace": 4}
+MIN_TIMED = {"run": 5, "trace": 4}
 REF_SAMPLES = 2
 
 
@@ -53,10 +54,15 @@ def main(mode, workload, scenario, out_dir, result_path, seconds) -> None:
     if mode == "setup":
         import speed
 
-        result["reference_s"] = sum(speed.reference_s() for _ in range(REF_SAMPLES)) / REF_SAMPLES
+        result["reference_s"] = reference(speed)
     else:
         result.update(run(mode, workload, config, scenario, Path(out_dir), float(seconds)))
     Path(result_path).write_text(json.dumps(result, indent=1, default=float))
+
+
+def reference(speed) -> float:
+    """The mean of REF_SAMPLES timings of the reference computation."""
+    return sum(speed.reference_s() for _ in range(REF_SAMPLES)) / REF_SAMPLES
 
 
 def call(workload, config, scenario, out_dir):
@@ -101,8 +107,8 @@ def run(mode, workload, config, scenario, out_dir, seconds) -> dict:
 
     start = time.perf_counter()
     timed = 0
+    before = reference(speed)
     while timed < MIN_TIMED[mode] or time.perf_counter() - start < seconds:
-        ref = sum(speed.reference_s() for _ in range(REF_SAMPLES)) / REF_SAMPLES
         tracer = Tracer() if mode == "trace" and timed % 2 else None
         if tracer is not None:
             tracer.install()
@@ -111,6 +117,9 @@ def run(mode, workload, config, scenario, out_dir, seconds) -> dict:
         finally:
             if tracer is not None:
                 tracer.uninstall()
+        # the reference right after one call is also the one right before the next
+        after = reference(speed)
+        ref, before = (before + after) / 2, after
         out["attempted"] += 1
         timed += 1
         if isinstance(result, str):
