@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import NonPositiveInput, UnknownComponent
+from .lti import propagate
 from .uio import AgentModel
 
 SIGMA_FLOOR = 1e-12
@@ -69,9 +69,17 @@ def _neighbor_for(model: AgentModel, component: int) -> int | None:
 def ewma_statistic(
     residuals: np.ndarray, sigmas: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """EWMA of |r|/sigma along axis 0, starting from zero state."""
+    """EWMA of |r|/sigma along axis 0, starting from zero state.
+
+    Each column is its own scalar system s_{k+1} = (1 - alpha) s_k +
+    alpha v_k, propagated as one (m, 1, 1) batch.
+    """
     norm = np.abs(residuals) / np.maximum(sigmas, SIGMA_FLOOR)
-    return scipy.signal.lfilter([alpha], [1.0, -(1.0 - alpha)], norm, axis=0)
+    m = norm.shape[1]
+    s = propagate(
+        np.full((m, 1, 1), 1.0 - alpha), np.zeros((m, 1)), alpha * norm.T[..., None]
+    )
+    return s[:, 1:, 0].T
 
 
 def monitor(

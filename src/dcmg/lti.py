@@ -1,5 +1,6 @@
 """Dense LTI helpers: matrix exponential, exact zero-order-hold
-discretization and a rank-checked left pseudo-inverse."""
+discretization, a rank-checked left pseudo-inverse and state propagation
+by a blocked prefix scan."""
 
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from .errors import (
 
 # rank test threshold on the singular values of m^T m, relative to the largest
 RANK_RTOL = 1e-12
+
+# steps per block of the propagation scan (a power of two)
+SCAN_BLOCK = 256
 
 
 @dataclass
@@ -95,3 +99,49 @@ def left_pinv(m: np.ndarray) -> np.ndarray:
             f"column rank below {cols}: singular values span {s[-1]:.3e}..{s[0]:.3e}"
         )
     return (vt.T / s) @ u.T
+
+
+def propagate(a: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """States x_0..x_K of ``x_{k+1} = a x_k + drive_k``.
+
+    ``a`` is (..., n, n), ``x0`` (..., n) and ``drive`` (..., K, n) with the
+    same leading batch axes; returns (..., K + 1, n).  The steps run as a
+    blocked prefix scan (Blelloch 1990; Martin & Cundy 2018): each block of
+    SCAN_BLOCK steps folds ``a x_start`` into its first drive row and then
+    makes log2(SCAN_BLOCK) doubling passes ``y[s:] += y[:-s] (a^s)^T``, so
+    only the powers a^(2^j) are ever formed.  Inputs are not modified.
+    """
+    a = np.asarray(a, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    drive = np.asarray(drive, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise NonSquare(f"a must be (..., n, n), got shape {a.shape}")
+    n = a.shape[-1]
+    batch = a.shape[:-2]
+    if x0.shape != batch + (n,):
+        raise DimensionMismatch(f"x0 must have shape {batch + (n,)}, got {x0.shape}")
+    if drive.ndim != a.ndim or drive.shape[:-2] != batch or drive.shape[-1] != n:
+        raise DimensionMismatch(
+            f"drive must have shape {batch + ('K', n)}, got {drive.shape}"
+        )
+    n_steps = drive.shape[-2]
+    out = np.empty(batch + (n_steps + 1, n))
+    out[..., 0, :] = x0
+    out[..., 1:, :] = drive
+    # a batch of scalar systems multiplies by broadcasting, several times
+    # faster than numpy's stacked matmul over 1x1 matrices
+    prod = np.multiply if n == 1 else np.matmul
+    a_t = np.swapaxes(a, -1, -2)
+    powers_t = [a_t]  # (a^s)^T for s = 1, 2, 4, ..., SCAN_BLOCK / 2
+    while 2 ** len(powers_t) < SCAN_BLOCK:
+        powers_t.append(powers_t[-1] @ powers_t[-1])
+    for k0 in range(0, n_steps, SCAN_BLOCK):
+        y = out[..., k0 + 1 : k0 + 1 + SCAN_BLOCK, :]
+        y[..., :1, :] += prod(out[..., k0 : k0 + 1, :], a_t)
+        s = 1
+        for p_t in powers_t:
+            if s >= y.shape[-2]:
+                break
+            y[..., s:, :] += prod(y[..., :-s, :], p_t)
+            s *= 2
+    return out

@@ -22,6 +22,10 @@ closing the loop among the per-agent models (each integrating against
 the other's held samples) is unstable at practical step sizes because
 the lightly damped LC line modes get only a few samples per period.
 
+All three layers -- the plant, the metered layer (one batched call per
+group of agents with equal state count) and the observer once its gains
+have frozen -- step their linear recursions with ``lti.propagate``.
+
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
 bit from their seeds.
@@ -41,7 +45,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh
+from .lti import discretize_zoh, propagate
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step, init_observer
 
@@ -198,7 +202,12 @@ def lift_received_inputs(
 
 
 def step_index(t: float, ts: float, what: str = "event time") -> int:
-    """Map an event time onto its step index, rejecting off-grid times."""
+    """Map an event time onto its step index, rejecting non-finite and
+    off-grid times."""
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise ValidationError(f"ts must be finite and > 0, got {ts!r}")
+    if not math.isfinite(t):
+        raise ValidationError(f"{what} must be finite, got {t!r}")
     k = int(round(t / ts))
     if abs(t - k * ts) > 1e-6 * ts:
         raise ValidationError(
@@ -222,8 +231,8 @@ def validate_config(config: ScenarioConfig) -> None:
     offending field."""
     config.network.validate()
     n = config.network.n_bus
-    if config.ts <= 0.0:
-        raise ValidationError(f"ts must be > 0, got {config.ts}")
+    if not (math.isfinite(config.ts) and config.ts > 0.0):
+        raise ValidationError(f"ts must be finite and > 0, got {config.ts}")
     if config.horizon < config.ts:
         raise ValidationError(
             f"horizon must cover at least one step, got {config.horizon}"
@@ -384,55 +393,32 @@ def _run_observer(
 
     The gain recursion converges geometrically, so once the covariance
     trace stops moving (|delta| < freeze_tol * max(1, |trace|)) the gains
-    are frozen and the remaining steps run with constant matrices; the
-    z-recursion itself is evaluated identically either way.  Returns
+    are frozen and the remaining z-recursion runs as one ``propagate``
+    call; until then it is stepped together with the gains.  Returns
     (x_hat, residuals, final covariance).
     """
     n_steps = u_x.shape[0]
     state = init_observer(model, y[0])
-    x_hat = np.empty((n_steps + 1, model.n))
-    res = np.empty((n_steps + 1, model.m))
-    x_hat[0] = state.x_hat
-    res[0] = y[0] - model.c @ state.x_hat
-
-    z = state.z
+    h, t = model.structural
+    tbu = u_x @ (t @ model.b_x).T
+    z = np.empty((n_steps + 1, model.n))
+    z[0] = state.z
     p = state.p
-    gains = None
     tr_prev = np.trace(p)
-    frozen = False
-    k = 0
-    while k < n_steps:
-        if gains is None or not frozen:
-            gains, p = gain_step(model, p)
-            tr = np.trace(p)
-            if config.freeze_gains and abs(tr - tr_prev) < config.freeze_tol * max(
-                1.0, abs(tr)
-            ):
-                frozen = True
-            tr_prev = tr
-        if frozen and k < n_steps:
-            # constant-gain tail: same recursion, batched drive terms
-            t_bx = gains.t @ model.b_x
-            k_sum = gains.k1 + gains.k2
-            drive = u_x[k:] @ t_bx.T + y[k:n_steps] @ k_sum.T
-            f = gains.f
-            block = np.empty((n_steps - k, model.n))
-            for j in range(n_steps - k):
-                z = f @ z + drive[j]
-                block[j] = z
-            x_hat[k + 1 :] = block + y[k + 1 :] @ gains.h.T
-            res[k + 1 :] = y[k + 1 :] - x_hat[k + 1 :] @ model.c.T
-            k = n_steps
-        else:
-            z = (
-                gains.f @ z
-                + gains.t @ (model.b_x @ u_x[k])
-                + (gains.k1 + gains.k2) @ y[k]
-            )
-            x_hat[k + 1] = z + gains.h @ y[k + 1]
-            res[k + 1] = y[k + 1] - model.c @ x_hat[k + 1]
-            k += 1
-    return x_hat, res, p
+    for k in range(n_steps):
+        gains, p = gain_step(model, p)
+        tr = np.trace(p)
+        k_sum = gains.k1 + gains.k2
+        if config.freeze_gains and abs(tr - tr_prev) < config.freeze_tol * max(
+            1.0, abs(tr)
+        ):
+            z[k:] = propagate(gains.f, z[k], tbu[k:] + y[k:n_steps] @ k_sum.T)
+            break
+        tr_prev = tr
+        z[k + 1] = gains.f @ z[k] + tbu[k] + k_sum @ y[k]
+    x_hat = z + y @ h.T
+    x_hat[0] = state.x_hat
+    return x_hat, y - x_hat @ model.c.T, p
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
@@ -495,22 +481,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         w = np.zeros((n_steps, proc_var.shape[0]))
 
     # monolithic physical layer: exported state and boundary voltages
-    x = np.empty((n_steps + 1, gm.n_state))
     if config.initial_state == "steady":
-        x[0] = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
+        x0 = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
     else:
-        x[0] = 0.0
-    drive = u @ plant.b.T + d @ plant.e.T + w
-    a = plant.a
-    for k in range(n_steps):
-        x[k + 1] = a @ x[k] + drive[k]
+        x0 = np.zeros(gm.n_state)
+    x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
 
     comms: dict[int, np.ndarray] = {}
     u_x: dict[int, np.ndarray] = {}
-    u_phys: dict[int, np.ndarray] = {}
     for i, model in models.items():
-        boundary = x[:, [cp.neighbor - 1 for cp in model.couplings]]
-        received = boundary.copy()
+        received = x[:, [cp.neighbor - 1 for cp in model.couplings]]
         for atk in config.attacks:
             if atk.victim != i:
                 continue
@@ -521,27 +501,32 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             k1 = step_index(atk.end, config.ts)
             received[k0:k1, slot] += atk.bias
         comms[i] = received
-        # the observer consumes the telemetered (possibly falsified)
-        # voltages; the agent's circuit integrates the true ones
+        # the observer consumes the telemetered (possibly falsified) voltages
         u_x[i] = np.hstack([u[:, i - 1 : i], received[:n_steps]])
-        u_phys[i] = np.hstack([u[:, i - 1 : i], boundary[:n_steps]])
 
     # per-agent layer: each agent's sampled-data reality, advanced by its
     # own model under the true (held) boundary voltages, sharing the
-    # physical noise draws in the agent's orientation
+    # physical noise draws in the agent's orientation; agents with equal
+    # state counts propagate as one batch
     x_local: dict[int, np.ndarray] = {}
+    for n_loc in sorted({model.n for model in models.values()}):
+        group = [i for i, model in models.items() if model.n == n_loc]
+        drive = np.empty((len(group), n_steps, n_loc))
+        x0_loc = np.empty((len(group), n_loc))
+        for g, i in enumerate(group):
+            model = models[i]
+            x0_loc[g] = x[0, model.state_index] * model.state_sign
+            boundary = x[:n_steps, [cp.neighbor - 1 for cp in model.couplings]]
+            u_phys = np.hstack([u[:, i - 1 : i], boundary])
+            w_loc = w[:, model.state_index] * model.state_sign
+            drive[g] = u_phys @ model.b_x.T + d[:, i - 1 : i] @ model.e.T + w_loc
+        loc = propagate(np.stack([models[i].a for i in group]), x0_loc, drive)
+        del drive
+        x_local.update(zip(group, loc))
+    x_local = dict(sorted(x_local.items()))
+
     y: dict[int, np.ndarray] = {}
     for i, model in models.items():
-        w_loc = w[:, model.state_index] * model.state_sign
-        drive_loc = (
-            u_phys[i] @ model.b_x.T + d[:, i - 1 : i] @ model.e.T + w_loc
-        )
-        a_loc = model.a
-        loc = np.empty((n_steps + 1, model.n))
-        loc[0] = x[0, model.state_index] * model.state_sign
-        for k in range(n_steps):
-            loc[k + 1] = a_loc @ loc[k] + drive_loc[k]
-        x_local[i] = loc
         if config.noise.inject:
             v = sample_noise(
                 _stream(config.seeds, _TAG_MEASUREMENT, i),
@@ -550,7 +535,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             )
         else:
             v = 0.0
-        y[i] = loc @ model.c.T + v
+        y[i] = x_local[i] @ model.c.T + v
 
     x_hat: dict[int, np.ndarray] = {}
     residuals: dict[int, np.ndarray] = {}

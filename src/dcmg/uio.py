@@ -20,6 +20,7 @@ steps leave no trace at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,12 @@ class AgentModel:
     def n_neighbors(self) -> int:
         return len(self.couplings)
 
+    @cached_property
+    def structural(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, T) of :func:`structural_gains`, computed once per model; the
+        model's matrices are taken as fixed from the first read on."""
+        return structural_gains(self)
+
 
 @dataclass
 class ObserverGains:
@@ -113,7 +120,7 @@ def discretize_agent(cont: AgentModelContinuous, ts: float) -> AgentModel:
         state_index=cont.state_index.copy(),
         state_sign=cont.state_sign.copy(),
     )
-    structural_gains(model)  # fail fast if the load cannot be decoupled
+    model.structural  # fail fast if the load cannot be decoupled
     return model
 
 
@@ -180,7 +187,7 @@ def gain_step(
     if q.shape != (n, n):
         raise DimensionMismatch(f"q must be {n}x{n}, got {q.shape}")
 
-    h, t = structural_gains(model)
+    h, t = model.structural
     ta = t @ model.a
     s = model.c @ p_k @ model.c.T + r_k
     try:
@@ -209,7 +216,7 @@ def init_observer(model: AgentModel, y0: np.ndarray) -> ObserverState:
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.m,):
         raise DimensionMismatch(f"y0 must have shape ({model.m},), got {y0.shape}")
-    h, _ = structural_gains(model)
+    h, _ = model.structural
     if model.c.shape[0] == model.c.shape[1] and np.array_equal(
         model.c, np.eye(model.n)
     ):

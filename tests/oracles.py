@@ -51,6 +51,18 @@ def zoh_series(a_c, b_c, e_c, ts, terms=30):
     return ex[:n, :n], ex[:n, n : n + nb], ex[:n, n + nb :]
 
 
+def propagate_loop(a, x0, drive):
+    """States of x_{k+1} = a x_k + drive_k, one step at a time for each
+    index of the leading batch axes of ``a`` (..., n, n)."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty(drive.shape[:-2] + (drive.shape[-2] + 1, a.shape[-1]))
+    for idx in np.ndindex(a.shape[:-2]):
+        out[idx + (0,)] = x0[idx]
+        for k in range(drive.shape[-2]):
+            out[idx + (k + 1,)] = a[idx] @ out[idx + (k,)] + drive[idx + (k,)]
+    return out
+
+
 def predictor_step(a, c, q, r, p):
     """One step of the standard optimal one-step-ahead predictor.
 

@@ -180,6 +180,16 @@ def test_off_grid_attack_exits_2_naming_the_field(tmp_path):
     assert "attacks[0].start" in err and "off-grid" in err
 
 
+def test_nan_ts_exits_2_naming_the_field(tmp_path):
+    obj = json.loads(cli.write_config(mini_scenario()))
+    obj["ts"] = float("nan")
+    path = tmp_path / "nan_ts.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert "ts must be finite" in err
+
+
 def test_runtime_failure_exits_1(tmp_path, monkeypatch):
     path = tmp_path / "mini.json"
     cli.write_config(mini_scenario(), path)

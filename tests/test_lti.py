@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcmg.errors import (
@@ -10,8 +10,14 @@ from dcmg.errors import (
     NonSquare,
     RankDeficient,
 )
-from dcmg.lti import discretize_zoh, left_pinv, matrix_exponential
-from oracles import expm_series, zoh_series
+from dcmg.lti import (
+    SCAN_BLOCK,
+    discretize_zoh,
+    left_pinv,
+    matrix_exponential,
+    propagate,
+)
+from oracles import expm_series, propagate_loop, zoh_series
 
 RNG = np.random.default_rng(20240817)
 
@@ -111,15 +117,17 @@ def test_zoh_semigroup_property():
     ),
     ts=st.floats(min_value=1e-6, max_value=1e-2),
 )
+@example(lams=[-0.03125], ts=1e-6)
 def test_zoh_diagonal_closed_form(lams, ts):
     # decoupled stable states have the closed form A = e^(lam ts),
-    # B = (e^(lam ts) - 1)/lam per state
+    # B = (e^(lam ts) - 1)/lam per state; expm1 keeps the reference's
+    # digits when lam ts is tiny
     lam = np.array(lams)
     a_c = np.diag(lam)
     b_c = np.ones((lam.size, 1))
     dm = discretize_zoh(a_c, b_c, np.zeros((lam.size, 0)), ts)
     assert np.allclose(np.diag(dm.a), np.exp(lam * ts), rtol=1e-10, atol=0)
-    expected_b = (np.exp(lam * ts) - 1.0) / lam
+    expected_b = np.expm1(lam * ts) / lam
     assert np.allclose(dm.b[:, 0], expected_b, rtol=1e-9, atol=1e-18)
 
 
@@ -137,6 +145,70 @@ def test_zoh_rejects_bad_inputs():
         discretize_zoh(a, np.zeros((3, 1)), e, 1e-4)
     with pytest.raises(DimensionMismatch):
         discretize_zoh(a, b, np.zeros((3, 1)), 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# propagate
+
+
+def stable_matrix(rng, batch, n, radius):
+    """Random real normal (batch, n, n) matrices with spectral radius
+    ``radius``: a random orthogonal similarity of a block diagonal of
+    scaled 2x2 rotations and signed scalars, moduli in [0, radius]."""
+    out = np.empty(batch + (n, n))
+    for idx in np.ndindex(batch):
+        mods = rng.uniform(0.0, radius, n)
+        mods[0] = radius
+        blocks = np.zeros((n, n))
+        j = 0
+        while j < n:
+            if j + 1 < n and rng.random() < 0.5:
+                theta = rng.uniform(0.0, np.pi)
+                c, s = np.cos(theta), np.sin(theta)
+                blocks[j : j + 2, j : j + 2] = mods[j] * np.array([[c, -s], [s, c]])
+                j += 2
+            else:
+                blocks[j, j] = mods[j] * rng.choice([-1.0, 1.0])
+                j += 1
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        out[idx] = q @ blocks @ q.T
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    n=st.integers(min_value=1, max_value=6),
+    n_steps=st.sampled_from(
+        [0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7]
+    ),
+    radius=st.floats(min_value=0.0, max_value=0.999),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_propagate_matches_loop(batch, n, n_steps, radius, seed):
+    rng = np.random.default_rng(seed)
+    a = stable_matrix(rng, batch, n, radius)
+    x0 = rng.standard_normal(batch + (n,)) * 1e4
+    drive = rng.standard_normal(batch + (n_steps, n)) * 1e2
+    inputs = [arr.copy() for arr in (a, x0, drive)]
+    out = propagate(a, x0, drive)
+    ref = propagate_loop(a, x0, drive)
+    assert out.shape == batch + (n_steps + 1, n)
+    assert np.array_equal(out[..., 0, :], x0)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for before, after in zip(inputs, (a, x0, drive)):
+        assert np.array_equal(before, after)
+
+
+def test_propagate_rejects_bad_shapes():
+    with pytest.raises(NonSquare):
+        propagate(np.zeros((2, 3)), np.zeros(2), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        propagate(np.eye(2), np.zeros(3), np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatch):
+        propagate(np.eye(2), np.zeros(2), np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        propagate(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), np.zeros((2, 4, 2)))
 
 
 # ---------------------------------------------------------------------------
