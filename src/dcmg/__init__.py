@@ -9,7 +9,6 @@ but not to load changes.
 
 from .detect import DetectionEvent, DetectorConfig, ewma_statistic, monitor
 from .errors import (
-    ConfigInvalid,
     DcmgError,
     DecouplingInfeasible,
     DimensionMismatch,
@@ -69,7 +68,6 @@ __all__ = [
     "AgentModelContinuous",
     "AttackSpec",
     "BusParams",
-    "ConfigInvalid",
     "Coupling",
     "DcmgError",
     "DecouplingInfeasible",

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvrows import write_rows
 from .detect import DetectionEvent, DetectorConfig
 from .errors import DcmgError, ParseError, ValidationError
 from .netmodel import BusParams, LineParams, NetworkSpec
@@ -56,7 +58,13 @@ def _sequence(obj, where: str) -> list:
 def _num(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value}")
+    return value
 
 
 def _int(obj, where: str) -> int:
@@ -404,28 +412,31 @@ def format_report(report: RunReport) -> str:
 
 def export_trace_csv(trace: SimulationTrace, path) -> None:
     """Full time series: truth, every agent's estimate and residual, and a
-    0/1 latched-alarm flag per agent, floats at 17 significant digits."""
+    0/1 latched-alarm flag per agent, floats at 17 significant digits.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``,
+    produced a block of rows at a time by :mod:`dcmg._csvrows`.  The exact
+    two-product of |x| and a power of ten gives the 17-digit mantissa,
+    rounded half to even as ``%.17g`` rounds, and zeros are written
+    directly.  Non-finite values, values outside 1e-5 <= |x| < 1e16 and
+    values ``%.17g`` prints in exponent notation go to Python's
+    ``"%.17g" %``, once per distinct value.
+    """
     agents = sorted(trace.models)
     header = ["time"] + list(trace.state_labels)
-    columns = [trace.times, *trace.x_true.T]
+    columns = [trace.times, trace.x_true]
     for i in agents:
         header += [f"xhat_{lab}" for lab in trace.models[i].labels]
-        columns += list(trace.x_hat[i].T)
+        columns.append(trace.x_hat[i])
     for i in agents:
         header += [f"r_{lab}" for lab in trace.models[i].labels]
-        columns += list(trace.residuals[i].T)
+        columns.append(trace.residuals[i])
     for i in agents:
         header.append(f"alarm{i}")
-        columns.append(trace.alarm_flags[i].astype(float))
-    data = np.column_stack(columns)
-    np.savetxt(
-        path,
-        data,
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-    )
+        columns.append(trace.alarm_flags[i])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        write_rows(fh, columns)
 
 
 def export_events_csv(events: list[DetectionEvent], path) -> None:

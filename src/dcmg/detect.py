@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveInput, UnknownComponent
-from .lti import propagate
+from .lti import propagate_into
 from .uio import AgentModel
 
 SIGMA_FLOOR = 1e-12
@@ -74,12 +74,16 @@ def ewma_statistic(
     Each column is its own scalar system s_{k+1} = (1 - alpha) s_k +
     alpha v_k, propagated as one (m, 1, 1) batch.
     """
-    norm = np.abs(residuals) / np.maximum(sigmas, SIGMA_FLOOR)
-    m = norm.shape[1]
-    s = propagate(
-        np.full((m, 1, 1), 1.0 - alpha), np.zeros((m, 1)), alpha * norm.T[..., None]
-    )
-    return s[:, 1:, 0].T
+    residuals = np.asarray(residuals, dtype=float)
+    n_steps, m = residuals.shape
+    s = np.empty((m, n_steps + 1, 1))
+    s[:, 0] = 0.0
+    drive = s[:, 1:, 0]
+    np.abs(residuals.T, out=drive)
+    drive /= np.maximum(sigmas, SIGMA_FLOOR)[:, None]
+    drive *= alpha
+    propagate_into(np.full((m, 1, 1), 1.0 - alpha), s)
+    return drive.T
 
 
 def monitor(
@@ -119,10 +123,19 @@ def monitor(
         )
 
     s = ewma_statistic(residuals, sigmas, config.ewma_alpha)
+    return _latch_events(s, times, model, config)
+
+
+def _latch_events(
+    s: np.ndarray, times: np.ndarray, model: AgentModel, config: DetectorConfig
+) -> list[DetectionEvent]:
+    """Events of one agent from its (N, m) EWMA statistic: each component
+    latches at the step that completes its first run of ``persistence``
+    samples with ``s >= kappa``."""
     above = s >= config.kappa
     idx = np.arange(above.shape[0])
     events: list[DetectionEvent] = []
-    for c in range(m):
+    for c in range(s.shape[1]):
         col = above[:, c]
         if not col.any():
             continue

@@ -55,7 +55,3 @@ class ParseError(DcmgError):
 
 class ValidationError(DcmgError):
     """Scenario content violates a semantic constraint."""
-
-
-# run-time alias used by the simulation layer
-ConfigInvalid = ValidationError

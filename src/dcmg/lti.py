@@ -128,9 +128,18 @@ def propagate(a: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
     out = np.empty(batch + (n_steps + 1, n))
     out[..., 0, :] = x0
     out[..., 1:, :] = drive
+    propagate_into(a, out)
+    return out
+
+
+def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
+    """:func:`propagate` in place: ``out`` (..., K + 1, n) holds x_0 in row
+    0 and drive_k in row k + 1 on entry, and x_0..x_K on return.  Shapes
+    are the caller's to check."""
+    n_steps = out.shape[-2] - 1
     # a batch of scalar systems multiplies by broadcasting, several times
     # faster than numpy's stacked matmul over 1x1 matrices
-    prod = np.multiply if n == 1 else np.matmul
+    prod = np.multiply if a.shape[-1] == 1 else np.matmul
     a_t = np.swapaxes(a, -1, -2)
     powers_t = [a_t]  # (a^s)^T for s = 1, 2, 4, ..., SCAN_BLOCK / 2
     while 2 ** len(powers_t) < SCAN_BLOCK:
@@ -144,4 +153,3 @@ def propagate(a: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
                 break
             y[..., s:, :] += prod(y[..., :-s, :], p_t)
             s *= 2
-    return out

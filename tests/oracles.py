@@ -5,6 +5,8 @@ series, textbook recursions, scalar loops) and deliberately imports
 nothing from the package under test.
 """
 
+import io
+
 import numpy as np
 
 
@@ -87,3 +89,28 @@ def ewma_loop(values, alpha):
         s = (1.0 - alpha) * s + alpha * values[k]
         out[k] = s
     return out
+
+
+def savetxt_csv(data, header=""):
+    """``np.savetxt`` with ``%.17g`` fields, the trace writer's reference."""
+    buf = io.BytesIO()
+    np.savetxt(buf, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue()
+
+
+def trace_csv(trace):
+    """trace.csv bytes as the column-stacking ``np.savetxt`` writer made
+    them: time, truth, estimates, residuals, then alarm flags."""
+    agents = sorted(trace.models)
+    header = ["time"] + list(trace.state_labels)
+    columns = [trace.times, *trace.x_true.T]
+    for i in agents:
+        header += [f"xhat_{lab}" for lab in trace.models[i].labels]
+        columns += list(trace.x_hat[i].T)
+    for i in agents:
+        header += [f"r_{lab}" for lab in trace.models[i].labels]
+        columns += list(trace.residuals[i].T)
+    for i in agents:
+        header.append(f"alarm{i}")
+        columns.append(trace.alarm_flags[i].astype(float))
+    return savetxt_csv(np.column_stack(columns), ",".join(header))

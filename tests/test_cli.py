@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dcmg.cli as cli
+from dcmg._csvrows import CHUNK_ROWS, write_rows
 from dcmg.detect import DetectionEvent, DetectorConfig
 from dcmg.errors import DcmgError, ParseError, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
@@ -17,7 +21,9 @@ from dcmg.sim import (
     ScenarioConfig,
     Seeds,
     SourceStep,
+    run_scenario,
 )
+from oracles import savetxt_csv, trace_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 
@@ -190,6 +196,31 @@ def test_nan_ts_exits_2_naming_the_field(tmp_path):
     assert "ts must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "where, keys, value",
+    [
+        (
+            "scenario.network.buses[0].c_output",
+            ("network", "buses", 0, "c_output"),
+            float("nan"),
+        ),
+        ("scenario.noise.r_line", ("noise", "r_line"), float("inf")),
+        ("scenario.detector.kappa", ("detector", "kappa"), float("nan")),
+    ],
+)
+def test_non_finite_number_exits_2_naming_the_field(tmp_path, where, keys, value):
+    obj = json.loads(cli.write_config(mini_scenario()))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert f"{where} must be finite" in err
+
+
 def test_runtime_failure_exits_1(tmp_path, monkeypatch):
     path = tmp_path / "mini.json"
     cli.write_config(mini_scenario(), path)
@@ -247,6 +278,55 @@ def test_trace_csv_layout(mini_run):
     data = np.loadtxt(out_dir / "trace.csv", delimiter=",", skiprows=1)
     assert data.shape == (501, 37)
     assert np.allclose(data[:, 0], np.arange(501) * 1e-4, atol=1e-12)
+
+
+def test_trace_csv_matches_savetxt(mini_run):
+    path, out_dir, _ = mini_run
+    trace = run_scenario(cli.load_config(path))
+    assert (out_dir / "trace.csv").read_bytes() == trace_csv(trace)
+
+
+# exact decimal ties at 17 digits: 641043932636031.125 rounds down to even,
+# 2251799813685247.75 up to even
+_TIES = [641043932636031.125, 2143331415251232.25, 2251799813685247.75]
+_EDGES = [
+    -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+    1e-5, 9.9999999999999991e-5, 1e-4, 0.00010000000000000001, 0.1, 1.0,
+    9.9999999999999995e15, 9999999999999998.0, 1e16, 1e17, 1.7976931348623157e308,
+]
+
+
+def _rows(n, width=3):
+    return np.sin(np.arange(n * width, dtype=float)).reshape(n, width) * 1e3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=st.one_of(
+            st.floats(),
+            st.floats(min_value=1e-6, max_value=1e17),
+            st.floats(min_value=-1e17, max_value=-1e-6),
+            st.builds(
+                lambda m, k: m / 2.0**k,
+                st.integers(2**50, 2**53),
+                st.integers(-4, 60),
+            ),
+        ),
+    )
+)
+@example(np.array([_EDGES]))
+@example(np.array([_TIES, [-t for t in _TIES]]))
+@example(_rows(0))
+@example(_rows(1))
+@example(_rows(CHUNK_ROWS))
+@example(_rows(CHUNK_ROWS + 1))
+def test_block_writer_matches_savetxt(data):
+    buf = io.BytesIO()
+    write_rows(buf, [data])
+    assert buf.getvalue() == savetxt_csv(data)
 
 
 def test_events_csv_header(mini_run):
