@@ -20,12 +20,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dcmg.cli import (  # noqa: E402
-    build_report,
     config_digest,
-    export_events_csv,
-    export_trace_csv,
     format_report,
     load_config,
+    write_artifacts,
 )
 from dcmg.sim import run_scenario, step_index  # noqa: E402
 
@@ -56,12 +54,7 @@ def main() -> int:
     trace = run_scenario(config)
     wall = time.perf_counter() - t0
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    export_trace_csv(trace, out / "trace.csv")
-    export_events_csv(trace.alarms, out / "events.csv")
-    report = build_report(config, trace, wall)
-    (out / "report.txt").write_text(format_report(report))
+    report = write_artifacts(config, trace, wall, args.out)
     print(format_report(report))
 
     print("agent-1 residual means in sigmas (V1, Ig1, I1_2, I1_3):")
@@ -74,7 +67,7 @@ def main() -> int:
         mean_sigma = np.abs(res[k_lo:k_hi].mean(axis=0)) / sig
         cells = "  ".join(f"{v:7.2f}" for v in mean_sigma)
         print(f"  [{t_lo:4.1f}, {t_hi:4.1f}) s  {name:<22s} {cells}")
-    print(f"artifacts in {out}/")
+    print(f"artifacts in {args.out}/")
     return 0
 
 

@@ -9,49 +9,40 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._csvrows import write_rows
-from .detect import DetectionEvent, DetectorConfig
+from .detect import DetectionEvent
 from .errors import DcmgError, ParseError, ValidationError
-from .netmodel import BusParams, LineParams, NetworkSpec
 from .sim import (
-    AttackSpec,
-    LoadSegment,
     ScenarioConfig,
-    Seeds,
     SimulationTrace,
-    NoiseConfig,
-    SourceStep,
     run_scenario,
     step_index,
     validate_config,
 )
 
-_REQUIRED = object()
-
 
 # ---------------------------------------------------------------------------
-# JSON codec
+# JSON codec: the schema is the config dataclasses themselves.  Every field
+# maps to a key; its type hint selects the decoder and a field without a
+# default is required.
 
 
 def _mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _sequence(obj, where: str) -> list:
-    if not isinstance(obj, list):
-        raise ValidationError(f"{where}: expected an array, got {type(obj).__name__}")
     return obj
 
 
@@ -85,249 +76,89 @@ def _str(obj, where: str) -> str:
     return obj
 
 
-def _opt(fn):
-    return lambda obj, where: None if obj is None else fn(obj, where)
+_SCALARS = {float: _num, int: _int, bool: _bool, str: _str}
+
+# evaluating the string annotations is the slow part; once per class
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _check_keys(obj: dict, where: str, allowed) -> None:
-    extra = sorted(set(obj) - set(allowed))
+def _decode(tp, obj, where: str):
+    """Decode the parsed JSON value ``obj`` as a ``tp``: a scalar of
+    ``_SCALARS``, ``X | None``, ``list[X]``, ``dict[int, X]`` keyed by bus
+    id, or a config dataclass.  Errors name the field path ``where``."""
+    if tp in _SCALARS:
+        return _SCALARS[tp](obj, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return None if obj is None else _decode(inner, obj, where)
+    if origin is list:
+        if not isinstance(obj, list):
+            got = type(obj).__name__
+            raise ValidationError(f"{where}: expected an array, got {got}")
+        return [_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(obj)]
+    obj = _mapping(obj, where)
+    if origin is dict:
+        out = {}
+        for key, value in obj.items():
+            try:
+                bus = int(key)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{where}: key {key!r} is not a bus id") from None
+            out[bus] = _decode(args[1], value, f"{where}[{key}]")
+        return out
+    fields = dataclasses.fields(tp)
+    extra = sorted(set(obj) - {f.name for f in fields})
     if extra:
         raise ValidationError(f"{where}: unknown keys {extra}")
+    hints = _hints(tp)
+    kwargs = {}
+    for f in fields:
+        if f.name in obj:
+            kwargs[f.name] = _decode(hints[f.name], obj[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{where}.{f.name} is required")
+    return tp(**kwargs)
 
 
-def _field(obj: dict, key: str, where: str, fn, default=_REQUIRED):
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ValidationError(f"{where}.{key} is required")
-        return default
-    return fn(obj[key], f"{where}.{key}")
-
-
-def _bus_from(obj, where: str) -> BusParams:
-    obj = _mapping(obj, where)
-    fields = (
-        "r_internal",
-        "l_internal",
-        "c_output",
-        "droop_gain",
-        "v_source_nominal",
-        "rated_power",
-    )
-    _check_keys(obj, where, fields)
-    return BusParams(
-        r_internal=_field(obj, "r_internal", where, _num),
-        l_internal=_field(obj, "l_internal", where, _num),
-        c_output=_field(obj, "c_output", where, _num),
-        droop_gain=_field(obj, "droop_gain", where, _num, 0.0),
-        v_source_nominal=_field(obj, "v_source_nominal", where, _num, 0.0),
-        rated_power=_field(obj, "rated_power", where, _num, 0.0),
-    )
-
-
-def _line_from(obj, where: str) -> LineParams:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("tail", "head", "r_line", "l_line"))
-    return LineParams(
-        tail=_field(obj, "tail", where, _int),
-        head=_field(obj, "head", where, _int),
-        r_line=_field(obj, "r_line", where, _num),
-        l_line=_field(obj, "l_line", where, _num),
-    )
-
-
-def _network_from(obj, where: str) -> NetworkSpec:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("buses", "lines"))
-    buses = [
-        _bus_from(b, f"{where}.buses[{i}]")
-        for i, b in enumerate(_sequence(obj.get("buses", []), f"{where}.buses"))
-    ]
-    lines = [
-        _line_from(l, f"{where}.lines[{i}]")
-        for i, l in enumerate(_sequence(obj.get("lines", []), f"{where}.lines"))
-    ]
-    return NetworkSpec(buses=buses, lines=lines)
-
-
-def _segment_from(obj, where: str) -> LoadSegment:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("t_start", "kind", "level", "level_end", "walk_std"))
-    return LoadSegment(
-        t_start=_field(obj, "t_start", where, _num),
-        kind=_field(obj, "kind", where, _str, "constant"),
-        level=_field(obj, "level", where, _num, 0.0),
-        level_end=_field(obj, "level_end", where, _opt(_num), None),
-        walk_std=_field(obj, "walk_std", where, _num, 0.0),
-    )
-
-
-def _source_step_from(obj, where: str) -> SourceStep:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("t_start", "volts"))
-    return SourceStep(
-        t_start=_field(obj, "t_start", where, _num),
-        volts=_field(obj, "volts", where, _num),
-    )
-
-
-def _attack_from(obj, where: str) -> AttackSpec:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("victim", "source", "start", "end", "bias"))
-    return AttackSpec(
-        victim=_field(obj, "victim", where, _int),
-        source=_field(obj, "source", where, _int),
-        start=_field(obj, "start", where, _num),
-        end=_field(obj, "end", where, _num),
-        bias=_field(obj, "bias", where, _num),
-    )
-
-
-def _bus_keyed(obj, where: str, item_fn) -> dict:
-    obj = _mapping(obj, where)
-    out = {}
-    for key, value in obj.items():
-        try:
-            bus = int(key)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{where}: key {key!r} is not a bus id") from None
-        out[bus] = item_fn(value, f"{where}[{key}]")
-    return out
-
-
-def _seeds_from(obj, where: str) -> Seeds:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("root", "process", "measurement", "load"))
-    return Seeds(
-        root=_field(obj, "root", where, _int, 0),
-        process=_field(obj, "process", where, _opt(_int), None),
-        measurement=_bus_keyed(obj.get("measurement", {}), f"{where}.measurement", _int),
-        load=_bus_keyed(obj.get("load", {}), f"{where}.load", _int),
-    )
-
-
-def _noise_from(obj, where: str) -> NoiseConfig:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("q_state", "r_bus", "r_line", "inject"))
-    return NoiseConfig(
-        q_state=_field(obj, "q_state", where, _num, 10.0),
-        r_bus=_field(obj, "r_bus", where, _num, 100.0),
-        r_line=_field(obj, "r_line", where, _num, 10.0),
-        inject=_field(obj, "inject", where, _bool, True),
-    )
-
-
-def _detector_from(obj, where: str) -> DetectorConfig:
-    obj = _mapping(obj, where)
-    _check_keys(obj, where, ("kappa", "ewma_alpha", "persistence", "sigma_source"))
-    return DetectorConfig(
-        kappa=_field(obj, "kappa", where, _num, 5.0),
-        ewma_alpha=_field(obj, "ewma_alpha", where, _num, 0.05),
-        persistence=_field(obj, "persistence", where, _int, 10),
-        sigma_source=_field(obj, "sigma_source", where, _str, "innovation"),
-    )
-
-
-_SCENARIO_KEYS = (
-    "network",
-    "ts",
-    "horizon",
-    "warmup",
-    "initial_state",
-    "seeds",
-    "noise",
-    "load_profiles",
-    "source_schedule",
-    "attacks",
-    "detector",
-    "freeze_gains",
-    "freeze_tol",
-)
+def _encode(value):
+    """Inverse of :func:`_decode`: dataclasses become objects with every
+    field, bus-keyed dicts get string keys."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
 
 
 def scenario_from_dict(obj) -> ScenarioConfig:
     """Decode a parsed JSON object into a ScenarioConfig, rejecting unknown
     keys and type mismatches with the offending field path."""
-    obj = _mapping(obj, "scenario")
-    _check_keys(obj, "scenario", _SCENARIO_KEYS)
-    if "network" not in obj:
+    if "network" not in _mapping(obj, "scenario"):
         raise ValidationError("scenario.network is required")
-    defaults = ScenarioConfig()
-    return ScenarioConfig(
-        network=_network_from(obj["network"], "scenario.network"),
-        ts=_field(obj, "ts", "scenario", _num, defaults.ts),
-        horizon=_field(obj, "horizon", "scenario", _num, defaults.horizon),
-        warmup=_field(obj, "warmup", "scenario", _num, defaults.warmup),
-        initial_state=_field(
-            obj, "initial_state", "scenario", _str, defaults.initial_state
-        ),
-        seeds=_seeds_from(obj.get("seeds", {}), "scenario.seeds"),
-        noise=_noise_from(obj.get("noise", {}), "scenario.noise"),
-        load_profiles=_bus_keyed(
-            obj.get("load_profiles", {}),
-            "scenario.load_profiles",
-            lambda v, w: [
-                _segment_from(s, f"{w}[{i}]") for i, s in enumerate(_sequence(v, w))
-            ],
-        ),
-        source_schedule=_bus_keyed(
-            obj.get("source_schedule", {}),
-            "scenario.source_schedule",
-            lambda v, w: [
-                _source_step_from(s, f"{w}[{i}]") for i, s in enumerate(_sequence(v, w))
-            ],
-        ),
-        attacks=[
-            _attack_from(a, f"scenario.attacks[{i}]")
-            for i, a in enumerate(_sequence(obj.get("attacks", []), "scenario.attacks"))
-        ],
-        detector=_detector_from(obj.get("detector", {}), "scenario.detector"),
-        freeze_gains=_field(obj, "freeze_gains", "scenario", _bool, True),
-        freeze_tol=_field(obj, "freeze_tol", "scenario", _num, defaults.freeze_tol),
-    )
+    return _decode(ScenarioConfig, obj, "scenario")
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Inverse of :func:`scenario_from_dict`; writes every field."""
-    return {
-        "network": {
-            "buses": [dataclasses.asdict(b) for b in config.network.buses],
-            "lines": [dataclasses.asdict(l) for l in config.network.lines],
-        },
-        "ts": config.ts,
-        "horizon": config.horizon,
-        "warmup": config.warmup,
-        "initial_state": config.initial_state,
-        "seeds": {
-            "root": config.seeds.root,
-            "process": config.seeds.process,
-            "measurement": {str(k): v for k, v in config.seeds.measurement.items()},
-            "load": {str(k): v for k, v in config.seeds.load.items()},
-        },
-        "noise": dataclasses.asdict(config.noise),
-        "load_profiles": {
-            str(bus): [dataclasses.asdict(seg) for seg in segs]
-            for bus, segs in config.load_profiles.items()
-        },
-        "source_schedule": {
-            str(bus): [dataclasses.asdict(st) for st in steps]
-            for bus, steps in config.source_schedule.items()
-        },
-        "attacks": [dataclasses.asdict(a) for a in config.attacks],
-        "detector": dataclasses.asdict(config.detector),
-        "freeze_gains": config.freeze_gains,
-        "freeze_tol": config.freeze_tol,
-    }
+    return _encode(config)
 
 
 def load_config(path) -> ScenarioConfig:
     """Read, decode and validate a scenario file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # int-string digit limit; RecursionError too deep a nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     config = scenario_from_dict(obj)
     validate_config(config)
@@ -386,6 +217,19 @@ def build_report(
         events=list(trace.alarms),
         residual_rms=rms,
     )
+
+
+def write_artifacts(
+    config: ScenarioConfig, trace: SimulationTrace, wall_seconds: float, out_dir
+) -> RunReport:
+    """Write trace.csv, events.csv and report.txt into ``out_dir``."""
+    report = build_report(config, trace, wall_seconds)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    export_trace_csv(trace, out / "trace.csv")
+    export_events_csv(trace.alarms, out / "events.csv")
+    (out / "report.txt").write_text(format_report(report))
+    return report
 
 
 def format_report(report: RunReport) -> str:
@@ -487,13 +331,7 @@ def run(
     try:
         t0 = time.perf_counter()
         trace = run_scenario(config)
-        wall = time.perf_counter() - t0
-        report = build_report(config, trace, wall)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        export_trace_csv(trace, out / "trace.csv")
-        export_events_csv(trace.alarms, out / "events.csv")
-        (out / "report.txt").write_text(format_report(report))
+        report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
     except DcmgError as exc:
         print(f"error: {exc}", file=stderr)
         return 1

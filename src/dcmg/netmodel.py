@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,9 @@ class NetworkSpec:
         if not self.buses:
             raise InvalidTopology("network needs at least one bus")
         for idx, bus in enumerate(self.buses, start=1):
+            for name, value in vars(bus).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidTopology(f"bus {idx}: {name} must be finite")
             if bus.r_internal < 0.0:
                 raise InvalidTopology(f"bus {idx}: r_internal must be >= 0")
             if bus.l_internal <= 0.0:
@@ -124,6 +128,9 @@ class NetworkSpec:
                     f"line {idx}: duplicate line between buses {line.tail} and {line.head}"
                 )
             seen.add(key)
+            for name, value in vars(line).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidTopology(f"line {idx}: {name} must be finite")
             if line.r_line < 0.0:
                 raise InvalidTopology(f"line {idx}: r_line must be >= 0")
             if line.l_line <= 0.0:

@@ -49,6 +49,7 @@ from .detect import (  # noqa: F401
 )
 from .errors import (
     DimensionMismatch,
+    InvalidTopology,
     NegativeVariance,
     NonPositiveInput,
     ValidationError,
@@ -237,7 +238,10 @@ def _stream(seeds: Seeds, tag: int, bus: int = 0) -> np.random.Generator:
 def validate_config(config: ScenarioConfig) -> None:
     """Check a scenario for semantic consistency; error messages name the
     offending field."""
-    config.network.validate()
+    try:
+        config.network.validate()
+    except InvalidTopology as exc:
+        raise ValidationError(f"network: {exc}") from exc
     n = config.network.n_bus
     if not (math.isfinite(config.ts) and config.ts > 0.0):
         raise ValidationError(f"ts must be finite and > 0, got {config.ts}")
@@ -257,62 +261,36 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ValidationError(
             f"initial_state must be one of {INITIAL_STATES}, got {config.initial_state!r}"
         )
-    if config.freeze_tol < 0.0:
-        raise ValidationError(f"freeze_tol must be >= 0, got {config.freeze_tol}")
+    if not (math.isfinite(config.freeze_tol) and config.freeze_tol >= 0.0):
+        raise ValidationError(
+            f"freeze_tol must be finite and >= 0, got {config.freeze_tol}"
+        )
 
+    for name in ("q_state", "r_bus", "r_line"):
+        value = getattr(config.noise, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"noise.{name} must be finite, got {value}")
     if config.noise.q_state < 0 or config.noise.r_bus < 0 or config.noise.r_line < 0:
         raise ValidationError("noise: variances must be >= 0")
 
-    for bus in sorted(config.seeds.measurement):
-        if not (1 <= bus <= n):
-            raise ValidationError(f"seeds.measurement: unknown bus id {bus}")
-    for bus in sorted(config.seeds.load):
-        if not (1 <= bus <= n):
-            raise ValidationError(f"seeds.load: unknown bus id {bus}")
+    for name in ("measurement", "load"):
+        for bus in sorted(getattr(config.seeds, name)):
+            if not (1 <= bus <= n):
+                raise ValidationError(f"seeds.{name}: unknown bus id {bus}")
 
     for bus, segments in sorted(config.load_profiles.items()):
-        where = f"load_profiles[{bus}]"
-        if not (1 <= bus <= n):
-            raise ValidationError(f"{where}: unknown bus id {bus}")
-        if not segments:
-            raise ValidationError(f"{where}: empty profile")
-        prev = -1
-        for s_idx, seg in enumerate(segments):
-            here = f"{where}[{s_idx}]"
-            k = step_index(seg.t_start, config.ts, f"{here}.t_start")
-            if s_idx == 0 and k != 0:
-                raise ValidationError(f"{here}.t_start must be 0.0")
-            if k <= prev and s_idx > 0:
-                raise ValidationError(f"{here}.t_start must increase")
-            if k >= n_steps and s_idx > 0:
-                raise ValidationError(f"{here}.t_start must lie before the horizon")
-            prev = k
+        for here, seg in _schedule("load_profiles", "profile", bus, segments, config):
             if seg.kind not in LOAD_KINDS:
                 raise ValidationError(
                     f"{here}.kind must be one of {LOAD_KINDS}, got {seg.kind!r}"
                 )
             if seg.kind == "ramp" and seg.level_end is None:
                 raise ValidationError(f"{here}: ramp segment needs level_end")
-            if seg.walk_std < 0.0:
-                raise ValidationError(f"{here}.walk_std must be >= 0")
+            if not (math.isfinite(seg.walk_std) and seg.walk_std >= 0.0):
+                raise ValidationError(f"{here}.walk_std must be finite and >= 0")
 
     for bus, steps in sorted(config.source_schedule.items()):
-        where = f"source_schedule[{bus}]"
-        if not (1 <= bus <= n):
-            raise ValidationError(f"{where}: unknown bus id {bus}")
-        if not steps:
-            raise ValidationError(f"{where}: empty schedule")
-        prev = -1
-        for s_idx, st in enumerate(steps):
-            here = f"{where}[{s_idx}]"
-            k = step_index(st.t_start, config.ts, f"{here}.t_start")
-            if s_idx == 0 and k != 0:
-                raise ValidationError(f"{here}.t_start must be 0.0")
-            if k <= prev and s_idx > 0:
-                raise ValidationError(f"{here}.t_start must increase")
-            if k >= n_steps and s_idx > 0:
-                raise ValidationError(f"{here}.t_start must lie before the horizon")
-            prev = k
+        for here, st in _schedule("source_schedule", "schedule", bus, steps, config):
             if not math.isfinite(st.volts):
                 raise ValidationError(f"{here}.volts must be finite")
 
@@ -344,6 +322,30 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ValidationError(
             "detector.sigma_source = 'warmup' needs a positive warmup window"
         )
+
+
+def _schedule(name: str, noun: str, bus: int, entries: list, config: ScenarioConfig):
+    """Check a known bus, a non-empty schedule and start times from 0,
+    increasing, before the horizon; yield each entry with its field path
+    once its start time is checked, for the caller's remaining checks."""
+    where = f"{name}[{bus}]"
+    if not (1 <= bus <= config.network.n_bus):
+        raise ValidationError(f"{where}: unknown bus id {bus}")
+    if not entries:
+        raise ValidationError(f"{where}: empty {noun}")
+    n_steps = step_index(config.horizon, config.ts, "horizon")
+    prev = -1
+    for s_idx, entry in enumerate(entries):
+        here = f"{where}[{s_idx}]"
+        k = step_index(entry.t_start, config.ts, f"{here}.t_start")
+        if s_idx == 0 and k != 0:
+            raise ValidationError(f"{here}.t_start must be 0.0")
+        if k <= prev and s_idx > 0:
+            raise ValidationError(f"{here}.t_start must increase")
+        if k >= n_steps and s_idx > 0:
+            raise ValidationError(f"{here}.t_start must lie before the horizon")
+        prev = k
+        yield here, entry
 
 
 def _load_series(

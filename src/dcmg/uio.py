@@ -158,38 +158,30 @@ def _clamp_psd(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def gain_step(
-    model: AgentModel,
-    p_k: np.ndarray,
-    r_k: np.ndarray | None = None,
-    r_k1: np.ndarray | None = None,
-    q: np.ndarray | None = None,
-) -> tuple[ObserverGains, np.ndarray]:
+def gain_step(model: AgentModel, p_k: np.ndarray) -> tuple[ObserverGains, np.ndarray]:
     """One update of the optimal gain and error covariance.
 
     K1 = T A P C^T (C P C^T + R)^{-1} minimises the next error covariance
 
-        P' = F P F^T + K1 R K1^T - H R' H^T + T Q T^T,   F = T A - K1 C
+        P' = F P F^T + K1 R K1^T - H R H^T + T Q T^T,   F = T A - K1 C
 
     which is symmetrized and eigenvalue-clipped to stay positive
-    semidefinite against accumulated rounding (the -H R' H^T term makes
+    semidefinite against accumulated rounding (the -H R H^T term makes
     the exact update indefinite-looking in finite precision).
     """
-    r_k = model.r if r_k is None else np.asarray(r_k, dtype=float)
-    r_k1 = model.r if r_k1 is None else np.asarray(r_k1, dtype=float)
-    q = model.q if q is None else np.asarray(q, dtype=float)
     p_k = np.asarray(p_k, dtype=float)
     n, m = model.n, model.m
+    r, q = model.r, model.q
     if p_k.shape != (n, n):
         raise DimensionMismatch(f"p_k must be {n}x{n}, got {p_k.shape}")
-    if r_k.shape != (m, m) or r_k1.shape != (m, m):
-        raise DimensionMismatch(f"measurement covariances must be {m}x{m}")
+    if r.shape != (m, m):
+        raise DimensionMismatch(f"r must be {m}x{m}, got {r.shape}")
     if q.shape != (n, n):
         raise DimensionMismatch(f"q must be {n}x{n}, got {q.shape}")
 
     h, t = model.structural
     ta = t @ model.a
-    s = model.c @ p_k @ model.c.T + r_k
+    s = model.c @ p_k @ model.c.T + r
     try:
         # K1 = (T A) P C^T S^{-1}, via a solve on the symmetric S
         k1 = np.linalg.solve(s, (ta @ p_k @ model.c.T).T).T
@@ -203,7 +195,7 @@ def gain_step(
         )
     f = ta - k1 @ model.c
     k2 = f @ h
-    p_next = f @ p_k @ f.T + k1 @ r_k @ k1.T - h @ r_k1 @ h.T + t @ q @ t.T
+    p_next = f @ p_k @ f.T + k1 @ r @ k1.T - h @ r @ h.T + t @ q @ t.T
     return ObserverGains(h=h, t=t, f=f, k1=k1, k2=k2), _clamp_psd(p_next)
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,65 @@ def test_digest_is_stable_and_sensitive():
     assert cli.config_digest(tweaked) != a
 
 
+def test_bundled_scenario_is_canonical():
+    config = threebus_attack_scenario()
+    assert cli.config_digest(config) == (
+        "89abe8f6c1b01b06a224ac4b1308669f1d3baffd312afa5e5ce85f21fd248385"
+    )
+    assert cli.write_config(config).encode() == SCENARIO.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (
+            ("load_profiles", "1", 0, "level"),
+            "x",
+            "scenario.load_profiles[1][0].level: expected a number, got 'x'",
+        ),
+        (
+            ("seeds", "measurement"),
+            {"x": 1},
+            "scenario.seeds.measurement: key 'x' is not a bus id",
+        ),
+        (
+            ("detector", "persistence"),
+            1.0,
+            "scenario.detector.persistence: expected an integer, got 1.0",
+        ),
+        (
+            ("attacks", 0, "victim"),
+            True,
+            "scenario.attacks[0].victim: expected an integer, got True",
+        ),
+        (
+            ("noise", "inject"),
+            1,
+            "scenario.noise.inject: expected a boolean, got 1",
+        ),
+        (
+            ("network", "lines", 0, "x"),
+            0.5,
+            "scenario.network.lines[0]: unknown keys ['x']",
+        ),
+        (("attacks",), {}, "scenario.attacks: expected an array, got dict"),
+        (("seeds", "process"), None, None),
+    ],
+)
+def test_nested_decode_errors_name_the_field(keys, value, message):
+    obj = json.loads(cli.write_config(mini_scenario()))
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    if message is None:
+        assert cli.scenario_from_dict(obj).seeds.process is None
+        return
+    with pytest.raises(ValidationError) as info:
+        cli.scenario_from_dict(obj)
+    assert str(info.value) == message
+
+
 def test_unknown_keys_rejected():
     obj = json.loads(cli.write_config(mini_scenario()))
     obj["typo_field"] = 1
@@ -157,6 +218,23 @@ def test_malformed_json_exits_2(tmp_path):
     code, _, err = run_cli(path, tmp_path / "out")
     assert code == 2
     assert "error:" in err and "JSON" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"ts": "\xff"}',  # not UTF-8
+        b'{"horizon": 1' + b"0" * 5000 + b"}",  # past the int-string digit limit
+        b"[" * 100_000,  # nested deeper than the parser recurses
+    ],
+    ids=["not-utf8", "long-int", "deep-nesting"],
+)
+def test_unparsable_file_exits_2(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -394,3 +472,24 @@ def test_main_quiet_run(tmp_path, capsys):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_run_threebus_script(tmp_path):
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+    out_dir = tmp_path / "artifacts"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_threebus.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(path), "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("trace.csv", "events.csv", "report.txt"):
+        assert (out_dir / name).exists()
+    assert f"digest   {cli.config_digest(mini_scenario())}" in proc.stdout

@@ -425,6 +425,14 @@ def test_validate_warmup_sigma_needs_window():
             lambda c: setattr(c, "noise", NoiseConfig(q_state=-1.0)),
             "variances",
         ),
+        (
+            lambda c: setattr(c, "noise", NoiseConfig(r_line=float("inf"))),
+            "noise.r_line must be finite",
+        ),
+        (
+            lambda c: setattr(c.network.buses[0], "l_internal", float("inf")),
+            "bus 1: l_internal must be finite",
+        ),
         (lambda c: setattr(c, "seeds", Seeds(root=0, load={9: 1})), "unknown bus"),
     ],
 )

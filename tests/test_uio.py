@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ def test_gain_conditions_hold_for_every_agent(agent_models):
 def test_zero_uncertainty_step(agent_models):
     model = agent_models[1]
     zeros = np.zeros((model.n, model.n))
-    gains, p1 = gain_step(model, zeros, q=zeros)
+    gains, p1 = gain_step(dataclasses.replace(model, q=zeros), zeros)
     h, t = structural_gains(model)
     assert np.array_equal(gains.k1, np.zeros((model.n, model.m)))
     assert np.allclose(gains.f, t @ model.a, rtol=0, atol=1e-14)
@@ -149,9 +151,9 @@ def test_reduces_to_standard_predictor_without_disturbance(agent_models):
 
 
 def test_singular_innovation_detected():
-    model = toy_model(np.eye(2), np.zeros((2, 1)), np.eye(2))
+    model = toy_model(np.eye(2), np.zeros((2, 1)), np.eye(2), r=np.zeros((2, 2)))
     with pytest.raises(SingularInnovation):
-        gain_step(model, np.zeros((2, 2)), r_k=np.zeros((2, 2)))
+        gain_step(model, np.zeros((2, 2)))
 
 
 def test_gain_step_shape_checks(agent_models):
@@ -159,9 +161,9 @@ def test_gain_step_shape_checks(agent_models):
     with pytest.raises(DimensionMismatch):
         gain_step(model, np.eye(3))
     with pytest.raises(DimensionMismatch):
-        gain_step(model, np.eye(4), r_k=np.eye(3))
+        gain_step(dataclasses.replace(model, r=np.eye(3)), np.eye(4))
     with pytest.raises(DimensionMismatch):
-        gain_step(model, np.eye(4), q=np.eye(5))
+        gain_step(dataclasses.replace(model, q=np.eye(5)), np.eye(4))
 
 
 # ---------------------------------------------------------------------------
