@@ -25,6 +25,7 @@ from dcmg.cli import (  # noqa: E402
     load_config,
     write_artifacts,
 )
+from dcmg.errors import DcmgError  # noqa: E402
 from dcmg.sim import run_scenario, step_index  # noqa: E402
 
 DEFAULT = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
@@ -44,7 +45,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None, help="override root seed")
     args = ap.parse_args()
 
-    config = load_config(args.scenario)
+    try:
+        config = load_config(args.scenario)
+    except DcmgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         config.seeds.root = args.seed
     print(f"scenario {args.scenario}")

@@ -4,6 +4,7 @@ neighbour whose reported voltage feeds that line."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class DetectorConfig:
     sigma_source: str = "innovation"
 
     def validate(self) -> None:
-        if self.kappa <= 0.0:
-            raise NonPositiveInput(f"kappa must be > 0, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise NonPositiveInput(f"kappa must be finite and > 0, got {self.kappa}")
         if not (0.0 < self.ewma_alpha <= 1.0):
             raise NonPositiveInput(
                 f"ewma_alpha must lie in (0, 1], got {self.ewma_alpha}"

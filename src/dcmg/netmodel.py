@@ -2,7 +2,7 @@
 
 Builds the continuous-time state-space model of a droop-controlled DC
 network -- bus capacitor voltages, source branch currents and tie-line
-currents -- and partitions it into per-agent models in which the
+currents -- and slices per-agent models out of it, in which the
 neighbouring bus voltages appear as additional external inputs.
 
 Conventions used throughout the package:
@@ -287,13 +287,14 @@ def partition_agent(
     r_bus: float = DEFAULT_BUS_MEAS_VAR,
     r_line: float = DEFAULT_LINE_MEAS_VAR,
 ) -> AgentModelContinuous:
-    """Extract agent ``agent_id``'s local model from the network.
+    """Slice agent ``agent_id``'s local model out of the network model.
 
-    Neighbour bus voltages become input columns (one per incident line);
-    because local line currents are oriented away from the agent, every
-    agent shares the same sign pattern: -1/C_i couples each line current
-    into the voltage row, +1/L_l couples the own voltage into each line
-    row, and each neighbour column carries -1/L_l.
+    The local states are the global states at ``state_index`` times
+    ``state_sign`` (S), so the local dynamics are the oriented rows
+    ``S a_c`` taken at the local columns and re-oriented by S, and the
+    local input and load columns are ``S b_c`` and ``S e_c`` at the bus.
+    Each neighbour voltage, the only other global state these rows read,
+    becomes one input column, in incident-line order.
     """
     if not (1 <= agent_id <= spec.n_bus):
         raise InvalidAgent(f"agent id {agent_id} not in 1..{spec.n_bus}")
@@ -303,43 +304,33 @@ def partition_agent(
     if q_state < 0.0 or r_bus < 0.0 or r_line < 0.0:
         raise NonPositiveInput("noise variances must be >= 0")
 
-    bus = spec.buses[agent_id - 1]
     incident = spec.lines_at(agent_id)
     deg = len(incident)
     n_i = 2 + deg
-
-    a = np.zeros((n_i, n_i))
-    a[0, 1] = 1.0 / bus.c_output
-    a[1, 0] = -1.0 / bus.l_internal
-    a[1, 1] = -(bus.droop_gain + bus.r_internal) / bus.l_internal
-    b = np.zeros((n_i, 1))
-    b[1, 0] = 1.0 / bus.l_internal
-    e = np.zeros((n_i, 1))
-    e[0, 0] = -1.0 / bus.c_output
+    state_index = np.array(
+        [agent_id - 1, n + agent_id - 1] + [2 * n + l_idx for l_idx, _, _ in incident]
+    )
+    state_sign = np.array([1.0, 1.0] + [float(sign) for _, _, sign in incident])
+    rows = state_sign[:, None] * global_model.a_c[state_index]
+    bus = slice(agent_id - 1, agent_id)
+    b = state_sign[:, None] * global_model.b_c[state_index, bus]
+    e = state_sign[:, None] * global_model.e_c[state_index, bus]
 
     couplings: list[Coupling] = []
     labels = [f"V{agent_id}", f"Ig{agent_id}"]
-    state_index = [agent_id - 1, n + agent_id - 1]
-    state_sign = [1.0, 1.0]
-    for k, (l_idx, line, sign) in enumerate(incident):
-        row = 2 + k
+    for l_idx, line, sign in incident:
         nbr = line.head if sign > 0 else line.tail
-        a[0, row] = -1.0 / bus.c_output
-        a[row, 0] = 1.0 / line.l_line
-        a[row, row] = -line.r_line / line.l_line
-        col = np.zeros(n_i)
-        col[row] = -1.0 / line.l_line
-        couplings.append(Coupling(neighbor=nbr, column=col, line_index=l_idx, sign=sign))
+        couplings.append(
+            Coupling(neighbor=nbr, column=rows[:, nbr - 1], line_index=l_idx, sign=sign)
+        )
         labels.append(f"I{agent_id}_{nbr}")
-        state_index.append(2 * n + l_idx)
-        state_sign.append(float(sign))
 
     q = np.diag(np.full(n_i, q_state, dtype=float))
     r = np.diag(np.array([r_bus, r_bus] + [r_line] * deg, dtype=float))
 
     return AgentModelContinuous(
         agent_id=agent_id,
-        a_ci=a,
+        a_ci=rows[:, state_index] * state_sign,
         b_ci=b,
         e_ci=e,
         c_ci=np.eye(n_i),
@@ -347,6 +338,6 @@ def partition_agent(
         q_i=q,
         r_i=r,
         state_labels=labels,
-        state_index=np.array(state_index, dtype=int),
-        state_sign=np.array(state_sign, dtype=float),
+        state_index=state_index,
+        state_sign=state_sign,
     )

@@ -48,7 +48,6 @@ from .detect import (  # noqa: F401
     monitor,
 )
 from .errors import (
-    DimensionMismatch,
     InvalidTopology,
     NegativeVariance,
     NonPositiveInput,
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .lti import discretize_zoh, propagate
 from .netmodel import NetworkSpec, build_global, partition_agent
-from .uio import AgentModel, discretize_agent, gain_step, init_observer
+from .uio import AgentModel, discretize_agent, gain_step
 
 _TAG_PROCESS = 0
 _TAG_MEASUREMENT = 1
@@ -191,25 +190,6 @@ def sample_noise(stream, covariance_diag, size: int | None = None) -> np.ndarray
     return stream.standard_normal((size, var.shape[0])) * std
 
 
-def lift_received_inputs(
-    model: AgentModel, local_inputs, received_voltages
-) -> np.ndarray:
-    """Stack [local control inputs; received neighbour voltages] in the
-    column order of ``model.b_x``."""
-    local_inputs = np.asarray(local_inputs, dtype=float)
-    received_voltages = np.asarray(received_voltages, dtype=float)
-    if local_inputs.shape != (model.n_inputs,):
-        raise DimensionMismatch(
-            f"local inputs must have shape ({model.n_inputs},), got {local_inputs.shape}"
-        )
-    if received_voltages.shape != (model.n_neighbors,):
-        raise DimensionMismatch(
-            f"received voltages must have shape ({model.n_neighbors},), "
-            f"got {received_voltages.shape}"
-        )
-    return np.concatenate([local_inputs, received_voltages])
-
-
 def step_index(t: float, ts: float, what: str = "event time") -> int:
     """Map an event time onto its step index, rejecting non-finite and
     off-grid times."""
@@ -286,6 +266,10 @@ def validate_config(config: ScenarioConfig) -> None:
                 )
             if seg.kind == "ramp" and seg.level_end is None:
                 raise ValidationError(f"{here}: ramp segment needs level_end")
+            for name in ("level", "level_end"):
+                value = getattr(seg, name)
+                if value is not None and not math.isfinite(value):
+                    raise ValidationError(f"{here}.{name} must be finite, got {value}")
             if not (math.isfinite(seg.walk_std) and seg.walk_std >= 0.0):
                 raise ValidationError(f"{here}.walk_std must be finite and >= 0")
 
@@ -404,16 +388,18 @@ def _run_observer(
     The gain recursion converges geometrically, so once the covariance
     trace stops moving (|delta| < freeze_tol * max(1, |trace|)) the gains
     are frozen and the remaining z-recursion runs as one ``propagate``
-    call; until then it is stepped together with the gains.  Returns
+    call; until then it is stepped together with the gains.  The estimate
+    starts from the first measurement when C = I (else from zero) with
+    unit covariance, z offset so that x^_0 = z_0 + H y_0.  Returns
     (x_hat, residuals, final covariance).
     """
     n_steps = u_x.shape[0]
-    state = init_observer(model, y[0])
     h, t = model.structural
+    x0 = y[0] if np.array_equal(model.c, np.eye(model.n)) else np.zeros(model.n)
     tbu = u_x @ (t @ model.b_x).T
     z = np.empty((n_steps + 1, model.n))
-    z[0] = state.z
-    p = state.p
+    z[0] = x0 - h @ y[0]
+    p = np.eye(model.n)
     tr_prev = np.trace(p)
     for k in range(n_steps):
         gains, p = gain_step(model, p)
@@ -427,7 +413,7 @@ def _run_observer(
         tr_prev = tr
         z[k + 1] = gains.f @ z[k] + tbu[k] + k_sum @ y[k]
     x_hat = z + y @ h.T
-    x_hat[0] = state.x_hat
+    x_hat[0] = x0
     return x_hat, y - x_hat @ model.c.T, p
 
 

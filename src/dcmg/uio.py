@@ -1,5 +1,8 @@
-"""Distributed unknown-input optimal state estimator for one agent.
+"""Agent models and gains of the distributed unknown-input observer.
 
+This module holds the discrete-time agent model, its structural gains
+H and T, and the per-step optimal gain and covariance update; the
+z-recursion itself runs over whole horizons in ``sim._run_observer``.
 Each agent runs the two-stage recursion
 
     z_{k+1}  = F z_k + T B_x u_{x,k} + (K1 + K2) y_k
@@ -85,20 +88,6 @@ class ObserverGains:
     f: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-
-
-@dataclass
-class ObserverState:
-    z: np.ndarray
-    x_hat: np.ndarray
-    p: np.ndarray
-    gains: ObserverGains | None = None
-
-
-@dataclass
-class Residual:
-    r: np.ndarray
-    labels: list[str]
 
 
 def discretize_agent(cont: AgentModelContinuous, ts: float) -> AgentModel:
@@ -197,58 +186,3 @@ def gain_step(model: AgentModel, p_k: np.ndarray) -> tuple[ObserverGains, np.nda
     k2 = f @ h
     p_next = f @ p_k @ f.T + k1 @ r @ k1.T - h @ r @ h.T + t @ q @ t.T
     return ObserverGains(h=h, t=t, f=f, k1=k1, k2=k2), _clamp_psd(p_next)
-
-
-def init_observer(model: AgentModel, y0: np.ndarray) -> ObserverState:
-    """Start from the first measurement with unit covariance.
-
-    z is offset so that the first reconstructed estimate equals the
-    initial guess: x^_0 = z_0 + H y_0.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (model.m,):
-        raise DimensionMismatch(f"y0 must have shape ({model.m},), got {y0.shape}")
-    h, _ = model.structural
-    if model.c.shape[0] == model.c.shape[1] and np.array_equal(
-        model.c, np.eye(model.n)
-    ):
-        x0 = y0.copy()
-    else:
-        x0 = np.zeros(model.n)
-    return ObserverState(z=x0 - h @ y0, x_hat=x0, p=np.eye(model.n), gains=None)
-
-
-def observer_step(
-    state: ObserverState,
-    model: AgentModel,
-    u_x: np.ndarray,
-    y_k: np.ndarray,
-    y_k1: np.ndarray,
-) -> tuple[ObserverState, Residual]:
-    """Advance the estimate one step and emit the residual r = y - C x^.
-
-    ``u_x`` is the lifted input [local inputs; received neighbour
-    voltages] applied over [k, k+1); ``y_k``/``y_k1`` the measurements at
-    the step boundaries.  Gains must have been produced by ``gain_step``
-    and stored on the state beforehand.
-    """
-    g = state.gains
-    if g is None:
-        raise DimensionMismatch("observer state carries no gains; run gain_step first")
-    u_x = np.asarray(u_x, dtype=float)
-    y_k = np.asarray(y_k, dtype=float)
-    y_k1 = np.asarray(y_k1, dtype=float)
-    if u_x.shape != (model.b_x.shape[1],):
-        raise DimensionMismatch(
-            f"u_x must have shape ({model.b_x.shape[1]},), got {u_x.shape}"
-        )
-    if y_k.shape != (model.m,) or y_k1.shape != (model.m,):
-        raise DimensionMismatch(f"measurements must have shape ({model.m},)")
-
-    z1 = g.f @ state.z + g.t @ (model.b_x @ u_x) + (g.k1 + g.k2) @ y_k
-    x_hat = z1 + g.h @ y_k1
-    r = y_k1 - model.c @ x_hat
-    return (
-        ObserverState(z=z1, x_hat=x_hat, p=state.p, gains=g),
-        Residual(r=r, labels=list(model.labels)),
-    )

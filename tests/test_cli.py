@@ -493,3 +493,15 @@ def test_run_threebus_script(tmp_path):
     for name in ("trace.csv", "events.csv", "report.txt"):
         assert (out_dir / name).exists()
     assert f"digest   {cli.config_digest(mini_scenario())}" in proc.stdout
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"network": 3}')
+    proc = subprocess.run(
+        [sys.executable, str(script), str(bad), "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcmg.errors import DimensionMismatch, NegativeVariance, ValidationError
+from dcmg.errors import NegativeVariance, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
 from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
@@ -11,7 +11,6 @@ from dcmg.sim import (
     ScenarioConfig,
     Seeds,
     SourceStep,
-    lift_received_inputs,
     run_scenario,
     sample_noise,
     step_index,
@@ -37,20 +36,6 @@ def small_scenario(**overrides) -> ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-
-def test_lift_received_inputs_order(agent_models):
-    model = agent_models[1]
-    stacked = lift_received_inputs(model, [12_000.0], [11_990.0, 12_010.0])
-    assert np.array_equal(stacked, [12_000.0, 11_990.0, 12_010.0])
-
-
-def test_lift_received_inputs_shape_errors(agent_models):
-    model = agent_models[1]
-    with pytest.raises(DimensionMismatch):
-        lift_received_inputs(model, [1.0, 2.0], [0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        lift_received_inputs(model, [1.0], [0.0])
 
 
 def test_sample_noise_is_deterministic_per_seed():
@@ -252,6 +237,12 @@ def test_alarm_flags_latch_from_event_time():
     assert not trace.alarm_flags[3].any()
 
 
+def test_observer_starts_from_first_measurement():
+    trace = run_scenario(small_scenario())
+    for i in trace.models:
+        assert np.array_equal(trace.x_hat[i][0], trace.y[i][0])
+
+
 def test_measurements_equal_local_truth_without_noise():
     cfg = attack_scenario(horizon=0.5, start=0.2)
     cfg.noise = NoiseConfig(inject=False)
@@ -271,7 +262,7 @@ def test_local_truth_follows_agent_model():
     u_bus = 12_000.0
     for k in range(0, loc.shape[0] - 1, 7):
         boundary = [trace.x_true[k, cp.neighbor - 1] for cp in model.couplings]
-        u_x = lift_received_inputs(model, [u_bus], boundary)
+        u_x = np.array([u_bus] + boundary)
         step = model.a @ loc[k] + model.b_x @ u_x + model.e[:, 0] * d
         assert np.allclose(step, loc[k + 1], rtol=0, atol=1e-6)
 
@@ -432,6 +423,19 @@ def test_validate_warmup_sigma_needs_window():
         (
             lambda c: setattr(c.network.buses[0], "l_internal", float("inf")),
             "bus 1: l_internal must be finite",
+        ),
+        (
+            lambda c: c.load_profiles.__setitem__(
+                1, [LoadSegment(t_start=0.0, level=float("inf"))]
+            ),
+            r"load_profiles\[1\]\[0\].level must be finite",
+        ),
+        (
+            lambda c: c.load_profiles.__setitem__(
+                1,
+                [LoadSegment(t_start=0.0, kind="ramp", level=1.0, level_end=float("nan"))],
+            ),
+            r"load_profiles\[1\]\[0\].level_end must be finite",
         ),
         (lambda c: setattr(c, "seeds", Seeds(root=0, load={9: 1})), "unknown bus"),
     ],

@@ -8,14 +8,13 @@ from dcmg.errors import (
     DimensionMismatch,
     SingularInnovation,
 )
+from dcmg import sim
 from dcmg.netmodel import partition_agent
+from dcmg.sim import ScenarioConfig
 from dcmg.uio import (
     AgentModel,
-    ObserverState,
     discretize_agent,
     gain_step,
-    init_observer,
-    observer_step,
     structural_gains,
 )
 from oracles import predictor_step
@@ -170,35 +169,18 @@ def test_gain_step_shape_checks(agent_models):
 # observer recursion
 
 
-def _advance(state, model):
-    gains, p = gain_step(model, state.p)
-    state.gains, state.p = gains, p
-    return state
-
-
-def test_init_observer_bootstraps_from_measurement(agent_models):
-    model = agent_models[1]
-    y0 = RNG.standard_normal(model.m) * 100.0
-    state = init_observer(model, y0)
-    assert np.array_equal(state.x_hat, y0)
-    h, _ = structural_gains(model)
-    assert np.allclose(state.z, y0 - h @ y0, rtol=0, atol=1e-12)
-    assert np.array_equal(state.p, np.eye(model.n))
-    assert state.gains is None
+def run_observer(model, y, u_x, freeze_gains):
+    """(x_hat, residuals, final P) of the simulator's observer loop."""
+    return sim._run_observer(model, y, u_x, ScenarioConfig(freeze_gains=freeze_gains))
 
 
 def test_zero_everything_stays_zero(agent_models):
     model = agent_models[1]
-    state = init_observer(model, np.zeros(model.m))
-    for _ in range(10):
-        state = _advance(state, model)
-        state, res = observer_step(
-            state, model, np.zeros(model.b_x.shape[1]), np.zeros(model.m),
-            np.zeros(model.m),
-        )
-        assert np.array_equal(state.x_hat, np.zeros(model.n))
-        assert np.array_equal(res.r, np.zeros(model.m))
-    assert res.labels == model.labels
+    x_hat, res, _ = run_observer(
+        model, np.zeros((11, model.m)), np.zeros((10, model.b_x.shape[1])), False
+    )
+    assert np.array_equal(x_hat, np.zeros((11, model.n)))
+    assert np.array_equal(res, np.zeros((11, model.m)))
 
 
 def test_matched_cosimulation_decouples_loads(agent_models):
@@ -214,17 +196,12 @@ def test_matched_cosimulation_decouples_loads(agent_models):
         ]
     )
     d = 1000.0 + 500.0 * RNG.standard_normal(n_steps)
-    x = np.zeros(model.n)
-    x[0] = 12_000.0
-    state = init_observer(model, x.copy())
-    worst = 0.0
+    x = np.zeros((n_steps + 1, model.n))
+    x[0, 0] = 12_000.0
     for k in range(n_steps):
-        x_next = model.a @ x + model.b_x @ u_x[k] + model.e[:, 0] * d[k]
-        state = _advance(state, model)
-        state, res = observer_step(state, model, u_x[k], x, x_next)
-        worst = max(worst, np.max(np.abs(res.r)))
-        x = x_next
-    assert worst < 1e-6
+        x[k + 1] = model.a @ x[k] + model.b_x @ u_x[k] + model.e[:, 0] * d[k]
+    _, res, _ = run_observer(model, x, u_x, False)
+    assert np.max(np.abs(res)) < 1e-6
 
 
 def converged_gains(model, steps=500):
@@ -238,7 +215,7 @@ def test_steady_bias_matches_linear_solve(agent_models):
     # constant bias on the neighbour-3 voltage channel: the residual
     # settles onto r = C (I - F)^-1 (-T B_x a)
     model = agent_models[1]
-    gains, p = converged_gains(model)
+    gains, _ = converged_gains(model)
     bias = np.array([0.0, 0.0, 150.0])  # input order [u1, V2, V3]
     u_x = np.array([12_000.0, 12_000.0, 12_000.0])
     d = 1000.0
@@ -246,15 +223,17 @@ def test_steady_bias_matches_linear_solve(agent_models):
     x = np.linalg.solve(
         np.eye(model.n) - model.a, model.b_x @ u_x + model.e[:, 0] * d
     )
-    state = ObserverState(z=x - gains.h @ x, x_hat=x.copy(), p=p, gains=gains)
-    for _ in range(400):
-        state, res = observer_step(state, model, u_x + bias, x, x)
+    # the observer starts at x, freezes its gains and then settles
+    n_steps = 500
+    _, res, _ = run_observer(
+        model, np.tile(x, (n_steps + 1, 1)), np.tile(u_x + bias, (n_steps, 1)), True
+    )
 
     e_bar = np.linalg.solve(
         np.eye(model.n) - gains.f, -gains.t @ model.b_x @ bias
     )
     r_bar = model.c @ e_bar
-    assert np.max(np.abs(res.r - r_bar)) / np.max(np.abs(r_bar)) < 1e-6
+    assert np.max(np.abs(res[-1] - r_bar)) / np.max(np.abs(r_bar)) < 1e-6
     # attribution structure: the bias lands dominantly on the I1_3 channel
     assert abs(r_bar[3]) > 3.0 * abs(r_bar[2])
     assert abs(r_bar[3]) > 3.0 * abs(r_bar[0])
@@ -275,28 +254,6 @@ def test_attack_sensitivity_every_neighbor(agent_models):
             r_bar = model.c @ e_bar
             # the accused line channel carries the largest magnitude
             assert np.argmax(np.abs(r_bar)) == 2 + j
-
-
-def test_observer_step_requires_gains(agent_models):
-    model = agent_models[1]
-    state = init_observer(model, np.zeros(model.m))
-    with pytest.raises(DimensionMismatch, match="gains"):
-        observer_step(
-            state, model, np.zeros(model.b_x.shape[1]), np.zeros(model.m),
-            np.zeros(model.m),
-        )
-
-
-def test_observer_step_shape_checks(agent_models):
-    model = agent_models[1]
-    state = _advance(init_observer(model, np.zeros(model.m)), model)
-    with pytest.raises(DimensionMismatch):
-        observer_step(state, model, np.zeros(2), np.zeros(model.m), np.zeros(model.m))
-    with pytest.raises(DimensionMismatch):
-        observer_step(
-            state, model, np.zeros(model.b_x.shape[1]), np.zeros(2),
-            np.zeros(model.m),
-        )
 
 
 def test_discretize_agent_stacks_couplings(threebus, global_model):
