@@ -332,7 +332,7 @@ def run(
         t0 = time.perf_counter()
         trace = run_scenario(config)
         report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
-    except DcmgError as exc:
+    except (DcmgError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     if not quiet:

@@ -22,9 +22,15 @@ closing the loop among the per-agent models (each integrating against
 the other's held samples) is unstable at practical step sizes because
 the lightly damped LC line modes get only a few samples per period.
 
-All three layers -- the plant, the metered layer (one batched call per
-group of agents with equal state count) and the observer once its gains
-have frozen -- step their linear recursions with ``lti.propagate``.
+Agents of equal state, measurement and input counts form a group, and
+each group's series are built as one block with the agent axis first.
+The metered layer propagates a group in one batched call.  The observers
+of a group run as one engine: while any agent's gains still vary, every
+step makes one batched ``uio.gain_step`` for those agents and advances
+their z-recursions together; each agent whose gains have frozen leaves
+the batch, and the rest of its horizon runs as one scan.  The plant,
+the metered layer and those frozen tails all step their linear
+recursions with ``lti.propagate`` (the tails with its in-place form).
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -53,13 +59,16 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh, propagate
+from .lti import discretize_zoh, propagate, propagate_into
 from .netmodel import NetworkSpec, build_global, partition_agent
-from .uio import AgentModel, discretize_agent, gain_step
+from .uio import AgentBatch, AgentModel, discretize_agent, gain_step
 
 _TAG_PROCESS = 0
 _TAG_MEASUREMENT = 1
 _TAG_LOAD = 2
+
+# steps of T B_x u formed at a time while an observer's gains still vary
+_DRIVE_CHUNK = 256
 
 LOAD_KINDS = ("constant", "ramp", "random_walk")
 INITIAL_STATES = ("steady", "zero")
@@ -371,50 +380,106 @@ def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:
 
     For a ZOH-discretized system this coincides exactly with the
     continuous equilibrium, so a noise-free run started here sits still.
-    Falls back to zeros when the network has no unique DC operating
-    point (singular ``I - a``).
+    A network with no unique DC operating point (singular ``I - a``) has
+    no steady start and raises ``ValidationError``.
     """
     try:
         return np.linalg.solve(np.eye(a.shape[0]) - a, forcing)
     except np.linalg.LinAlgError:
-        return np.zeros(a.shape[0])
+        raise ValidationError(
+            "initial_state = 'steady' needs a unique DC operating point, but "
+            "I - A of the network is singular; use initial_state = 'zero'"
+        ) from None
 
 
 def _run_observer(
-    model: AgentModel, y: np.ndarray, u_x: np.ndarray, config: ScenarioConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one agent's observer over the whole horizon.
+    models: list[AgentModel],
+    y: np.ndarray,
+    u_x: np.ndarray,
+    residuals: list[np.ndarray],
+    config: ScenarioConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the observers of a group of agents of equal (n, m, n_inputs)
+    over the whole horizon.
 
-    The gain recursion converges geometrically, so once the covariance
-    trace stops moving (|delta| < freeze_tol * max(1, |trace|)) the gains
-    are frozen and the remaining z-recursion runs as one ``propagate``
-    call; until then it is stepped together with the gains.  The estimate
-    starts from the first measurement when C = I (else from zero) with
-    unit covariance, z offset so that x^_0 = z_0 + H y_0.  Returns
-    (x_hat, residuals, final covariance).
+    ``y`` is (g, K + 1, m) and ``u_x`` (g, K, n_u), one row per agent of
+    ``models``; ``residuals[j]`` receives agent j's y - C x^.  Each step
+    makes one batched ``gain_step`` for the agents whose gains still vary
+    and advances their z-recursion together, forming T B_x u
+    _DRIVE_CHUNK steps at a time.  An agent's gains freeze once its
+    covariance trace stops moving (|delta| < freeze_tol * max(1, |trace|));
+    the agent then leaves the batch and the rest of its z-recursion runs
+    as one blocked scan (``propagate_into``, in place over z).  Estimates
+    start from the first measurement when C = I (else from zero) with unit
+    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat
+    (g, K + 1, n), formed in place over z, and the final covariances
+    (g, n, n).
     """
-    n_steps = u_x.shape[0]
-    h, t = model.structural
-    x0 = y[0] if np.array_equal(model.c, np.eye(model.n)) else np.zeros(model.n)
-    tbu = u_x @ (t @ model.b_x).T
-    z = np.empty((n_steps + 1, model.n))
-    z[0] = x0 - h @ y[0]
-    p = np.eye(model.n)
-    tr_prev = np.trace(p)
+    g, n_steps = u_x.shape[:2]
+    n = models[0].n
+    batch = AgentBatch.of(models)
+    h = batch.h
+    tb_t = (batch.t @ np.stack([model.b_x for model in models])).swapaxes(-1, -2)
+    x0 = np.stack(
+        [
+            y[j, 0] if np.array_equal(model.c, np.eye(n)) else np.zeros(n)
+            for j, model in enumerate(models)
+        ]
+    )
+    z = np.empty((g, n_steps + 1, n))
+    z[:, 0] = x0 - (h @ y[:, 0, :, None])[..., 0]
+    p = np.tile(np.eye(n), (g, 1, 1))
+    p_end = np.empty_like(p)
+    tr_prev = p.trace(axis1=1, axis2=2)
+    live = np.arange(g)  # the agents whose gains still vary
     for k in range(n_steps):
-        gains, p = gain_step(model, p)
-        tr = np.trace(p)
-        k_sum = gains.k1 + gains.k2
-        if config.freeze_gains and abs(tr - tr_prev) < config.freeze_tol * max(
-            1.0, abs(tr)
-        ):
-            z[k:] = propagate(gains.f, z[k], tbu[k:] + y[k:n_steps] @ k_sum.T)
-            break
+        if k % _DRIVE_CHUNK == 0:
+            tbu = u_x[:, k : k + _DRIVE_CHUNK] @ tb_t
+        gains, p = gain_step(batch, p)
+        tr = p.trace(axis1=1, axis2=2)
+        f, k_sum = gains.f, gains.k1 + gains.k2
+        if config.freeze_gains:
+            frozen = np.abs(tr - tr_prev) < config.freeze_tol * np.maximum(
+                1.0, np.abs(tr)
+            )
+            if frozen.any():
+                for j in np.flatnonzero(frozen):
+                    # drive rows written over z[k + 1:], then propagated in place
+                    tail = z[live[j], k:]
+                    np.matmul(u_x[live[j], k:], tb_t[live[j]], out=tail[1:])
+                    tail[1:] += y[live[j], k:n_steps] @ k_sum[j].T
+                    propagate_into(f[j], tail)
+                p_end[live[frozen]] = p[frozen]
+                keep = ~frozen
+                live, batch, p, tr = live[keep], batch.take(keep), p[keep], tr[keep]
+                f, k_sum = f[keep], k_sum[keep]
+                if not live.size:
+                    break
+        z[live, k + 1] = (
+            (f @ z[live, k, :, None])[..., 0]
+            + tbu[live, k % _DRIVE_CHUNK]
+            + (k_sum @ y[live, k, :, None])[..., 0]
+        )
         tr_prev = tr
-        z[k + 1] = gains.f @ z[k] + tbu[k] + k_sum @ y[k]
-    x_hat = z + y @ h.T
-    x_hat[0] = x0
-    return x_hat, y - x_hat @ model.c.T, p
+    else:
+        p_end[live] = p
+    for j, model in enumerate(models):
+        x_hat = z[j]
+        x_hat += y[j] @ h[j].T
+        x_hat[0] = x0[j]
+        np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
+    return z, p_end
+
+
+def _group_blocks(models: dict[int, AgentModel], groups: list[list[int]], shape):
+    """One uninitialised array per group, with the agent axis first and
+    each agent's trailing ``shape(model)``, and a view of every agent's
+    slice keyed by agent id in ``models`` order."""
+    blocks = [np.empty((len(group),) + shape(models[group[0]])) for group in groups]
+    views = {
+        i: block[j] for group, block in zip(groups, blocks) for j, i in enumerate(group)
+    }
+    return blocks, dict(sorted(views.items()))
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
@@ -435,6 +500,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         )
         models[i] = discretize_agent(cont, config.ts)
     plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
+    # agents of equal (n, m, n_inputs) propagate their metered layer and
+    # step their observers as one batch
+    by_shape: dict[tuple[int, int, int], list[int]] = {}
+    for i, model in models.items():
+        by_shape.setdefault((model.n, model.m, model.n_inputs), []).append(i)
+    groups = [by_shape[key] for key in sorted(by_shape)]
 
     n_steps = step_index(config.horizon, config.ts, "horizon")
     times = np.arange(n_steps + 1) * config.ts
@@ -484,7 +555,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
 
     comms: dict[int, np.ndarray] = {}
-    u_x: dict[int, np.ndarray] = {}
+    u_x_blocks, u_x = _group_blocks(
+        models, groups, lambda model: (n_steps, model.b_x.shape[1])
+    )
     for i, model in models.items():
         received = x[:, [cp.neighbor - 1 for cp in model.couplings]]
         for atk in config.attacks:
@@ -498,15 +571,15 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             received[k0:k1, slot] += atk.bias
         comms[i] = received
         # the observer consumes the telemetered (possibly falsified) voltages
-        u_x[i] = np.hstack([u[:, i - 1 : i], received[:n_steps]])
+        u_x[i][:, 0] = u[:, i - 1]
+        u_x[i][:, 1:] = received[:n_steps]
 
     # per-agent layer: each agent's sampled-data reality, advanced by its
     # own model under the true (held) boundary voltages, sharing the
-    # physical noise draws in the agent's orientation; agents with equal
-    # state counts propagate as one batch
+    # physical noise draws in the agent's orientation
     x_local: dict[int, np.ndarray] = {}
-    for n_loc in sorted({model.n for model in models.values()}):
-        group = [i for i, model in models.items() if model.n == n_loc]
+    for group in groups:
+        n_loc = models[group[0]].n
         drive = np.empty((len(group), n_steps, n_loc))
         x0_loc = np.empty((len(group), n_loc))
         for g, i in enumerate(group):
@@ -523,7 +596,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     # the physical inputs are spent; the observers read only u_x and y
     del u, d, w
 
-    y: dict[int, np.ndarray] = {}
+    y_blocks, y = _group_blocks(models, groups, lambda model: (n_steps + 1, model.m))
     for i, model in models.items():
         if config.noise.inject:
             v = sample_noise(
@@ -533,7 +606,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             )
         else:
             v = 0.0
-        y[i] = x_local[i] @ model.c.T + v
+        np.matmul(x_local[i], model.c.T, out=y[i])
+        y[i] += v
 
     x_hat: dict[int, np.ndarray] = {}
     sigmas: dict[int, np.ndarray] = {}
@@ -546,18 +620,27 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         i: residual_block[:, start:end]
         for i, start, end in zip(models, bounds[:-1], bounds[1:])
     }
+    p_end: dict[int, np.ndarray] = {}
+    for group, y_block, u_x_block in zip(groups, y_blocks, u_x_blocks):
+        xh, p_group = _run_observer(
+            [models[i] for i in group],
+            y_block,
+            u_x_block,
+            [residuals[i] for i in group],
+            config,
+        )
+        x_hat.update(zip(group, xh))
+        p_end.update(zip(group, p_group))
+    x_hat = dict(sorted(x_hat.items()))
     for i, model in models.items():
-        xh, res, p_end = _run_observer(model, y[i], u_x[i], config)
-        x_hat[i] = xh
-        residuals[i][:] = res
         if config.detector.sigma_source == "warmup":
             stop = max(k_warm + 1, 2)
-            sigmas[i] = np.std(res[1:stop], axis=0)
+            sigmas[i] = np.std(residuals[i][1:stop], axis=0)
         else:
-            sigmas[i] = np.sqrt(np.diag(model.c @ p_end @ model.c.T + model.r))
+            sigmas[i] = np.sqrt(np.diag(model.c @ p_end[i] @ model.c.T + model.r))
 
     # free the observer inputs before the detector's arrays
-    del u_x, res
+    del u_x, u_x_blocks, u_x_block
     stat = ewma_statistic(
         residual_block[k_warm:],
         np.concatenate(list(sigmas.values())),

@@ -312,6 +312,19 @@ def test_runtime_failure_exits_1(tmp_path, monkeypatch):
     assert "boom" in err
 
 
+def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch):
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+
+    def explode(config):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_scenario", explode)
+    code, _, err = run_cli(path, tmp_path / "out")
+    assert code == 1
+    assert err == "error: Singular matrix\n"
+
+
 def test_parse_error_type():
     with pytest.raises(ParseError):
         cli.load_config("/definitely/not/here.json")

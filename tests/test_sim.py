@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dcmg.errors import NegativeVariance, ValidationError
+from dcmg.lti import propagate
 from dcmg.netmodel import LineParams, NetworkSpec
 from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
@@ -11,11 +14,14 @@ from dcmg.sim import (
     ScenarioConfig,
     Seeds,
     SourceStep,
+    _dc_operating_point,
+    _run_observer,
     run_scenario,
     sample_noise,
     step_index,
     validate_config,
 )
+from oracles import observer_loop
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -235,6 +241,83 @@ def test_alarm_flags_latch_from_event_time():
     assert flags[k_first:].all()
     assert not trace.alarm_flags[2].any()
     assert not trace.alarm_flags[3].any()
+
+
+# ---------------------------------------------------------------------------
+# batched observer engine against the per-agent loop
+
+
+@pytest.mark.parametrize("freeze_gains", [True, False])
+def test_batched_observer_matches_per_agent_loop(agent_models, freeze_gains):
+    # scaled noise figures make the three agents' gains settle at
+    # different steps, so agents leave the batch one by one
+    rng = np.random.default_rng(11)
+    models = [
+        dataclasses.replace(model, q=model.q * scale, r=model.r / scale)
+        for model, scale in zip(agent_models.values(), (1.0, 30.0, 0.3))
+    ]
+    n_steps = 300
+    y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
+    u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
+    res = np.empty_like(y)
+    cfg = ScenarioConfig(freeze_gains=freeze_gains)
+    x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
+    frozen_at = []
+    for j, model in enumerate(models):
+        xh_ref, res_ref, p_ref, k_ref = observer_loop(
+            model, y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate
+        )
+        assert np.array_equal(x_hat[j], xh_ref)
+        assert np.array_equal(res[j], res_ref)
+        assert np.array_equal(p_end[j], p_ref)
+        frozen_at.append(k_ref)
+    if freeze_gains:
+        assert len(set(frozen_at)) == 3 and None not in frozen_at
+    else:
+        assert frozen_at == [None] * 3
+
+
+def test_path_network_splits_into_groups_matching_per_agent_loop():
+    # the end agents of a 4-bus path have one neighbour (n = 3), the
+    # middle ones two (n = 4): two batches of two agents each
+    network = NetworkSpec(
+        buses=[example_bus() for _ in range(4)],
+        lines=[LineParams(tail=k, head=k + 1, r_line=0.1, l_line=5e-4) for k in (1, 2, 3)],
+    )
+    cfg = small_scenario(network=network, load_profiles={})
+    cfg.attacks = [AttackSpec(victim=2, source=3, start=0.02, end=0.05, bias=150.0)]
+    trace = run_scenario(cfg)
+    assert [trace.models[i].n for i in (1, 2, 3, 4)] == [3, 4, 4, 3]
+    n_steps = trace.times.shape[0] - 1
+    u_x, p_ref = {}, {}
+    for i, model in trace.models.items():
+        u_x[i] = np.column_stack(
+            [np.full(n_steps, network.buses[i - 1].v_source_nominal), trace.comms[i][:-1]]
+        )
+        xh_ref, res_ref, p_ref[i], _ = observer_loop(
+            model, trace.y[i], u_x[i], cfg.freeze_gains, cfg.freeze_tol, propagate
+        )
+        assert np.array_equal(trace.x_hat[i], xh_ref)
+        assert np.array_equal(trace.residuals[i], res_ref)
+        sigma_ref = np.sqrt(np.diag(model.c @ p_ref[i] @ model.c.T + model.r))
+        assert np.array_equal(trace.sigmas[i], sigma_ref)
+    # the final covariances, from the engine run on each group directly
+    for group in ([1, 4], [2, 3]):
+        y = np.stack([trace.y[i] for i in group])
+        _, p_end = _run_observer(
+            [trace.models[i] for i in group],
+            y,
+            np.stack([u_x[i] for i in group]),
+            list(np.empty_like(y)),
+            cfg,
+        )
+        for j, i in enumerate(group):
+            assert np.array_equal(p_end[j], p_ref[i])
+
+
+def test_singular_plant_has_no_steady_start():
+    with pytest.raises(ValidationError, match="initial_state.*'zero'"):
+        _dc_operating_point(np.eye(3), np.ones(3))
 
 
 def test_observer_starts_from_first_measurement():

@@ -12,6 +12,7 @@ from dcmg import sim
 from dcmg.netmodel import partition_agent
 from dcmg.sim import ScenarioConfig
 from dcmg.uio import (
+    AgentBatch,
     AgentModel,
     discretize_agent,
     gain_step,
@@ -155,6 +156,26 @@ def test_singular_innovation_detected():
         gain_step(model, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "break_agent_2, message",
+    [
+        (lambda model, p: (dataclasses.replace(model, r=np.zeros((2, 2))), p),
+         "agent 2: innovation covariance is singular"),
+        (lambda model, p: (model, np.full_like(p, np.nan)),
+         "agent 2: innovation solve produced non-finite gains"),
+    ],
+)
+def test_batch_failure_names_the_agent(break_agent_2, message):
+    # only the second agent of a two-agent batch fails
+    healthy = toy_model(np.eye(2), np.zeros((2, 1)), np.eye(2))
+    model_2, p_2 = break_agent_2(
+        dataclasses.replace(healthy, agent_id=2), np.zeros((2, 2))
+    )
+    batch = AgentBatch.of([healthy, model_2])
+    with pytest.raises(SingularInnovation, match=message):
+        gain_step(batch, np.stack([np.zeros((2, 2)), p_2]))
+
+
 def test_gain_step_shape_checks(agent_models):
     model = agent_models[1]
     with pytest.raises(DimensionMismatch):
@@ -170,8 +191,13 @@ def test_gain_step_shape_checks(agent_models):
 
 
 def run_observer(model, y, u_x, freeze_gains):
-    """(x_hat, residuals, final P) of the simulator's observer loop."""
-    return sim._run_observer(model, y, u_x, ScenarioConfig(freeze_gains=freeze_gains))
+    """(x_hat, residuals, final P) of the simulator's observer engine run
+    on a group of one agent."""
+    res = np.empty_like(y)
+    x_hat, p = sim._run_observer(
+        [model], y[None], u_x[None], [res], ScenarioConfig(freeze_gains=freeze_gains)
+    )
+    return x_hat[0], res, p[0]
 
 
 def test_zero_everything_stays_zero(agent_models):
