@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -41,6 +40,10 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix exponential of a non-finite matrix")
+    # imported here: scipy.linalg takes most of ``import dcmg``'s time, and
+    # loading or validating a scenario never needs it
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 

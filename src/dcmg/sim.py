@@ -24,13 +24,16 @@ the lightly damped LC line modes get only a few samples per period.
 
 Agents of equal state, measurement and input counts form a group, and
 each group's series are built as one block with the agent axis first.
-The metered layer propagates a group in one batched call.  The observers
-of a group run as one engine: while any agent's gains still vary, every
-step makes one batched ``uio.gain_step`` for those agents and advances
-their z-recursions together; each agent whose gains have frozen leaves
-the batch, and the rest of its horizon runs as one scan.  The plant,
-the metered layer and those frozen tails all step their linear
-recursions with ``lti.propagate`` (the tails with its in-place form).
+A group's inputs (source setpoints and received voltages) are gathered
+once: the metered layer forms its drive from them while they are true,
+then the attack biases are added in place for the observers and
+``comms``.  The observers of a group run as one engine: while any
+agent's gains still vary, every step makes one batched ``uio.gain_step``
+for those agents and advances their z-recursions together; each agent
+whose gains have frozen leaves the batch, and the rest of its horizon
+runs as one scan.  The plant, the metered layer and those frozen tails
+all step their linear recursions with ``lti.propagate`` (the tails with
+its in-place form).
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -201,11 +204,13 @@ def sample_noise(stream, covariance_diag, size: int | None = None) -> np.ndarray
 
 def step_index(t: float, ts: float, what: str = "event time") -> int:
     """Map an event time onto its step index, rejecting non-finite and
-    off-grid times."""
+    off-grid times and times whose step count overflows a float."""
     if not (math.isfinite(ts) and ts > 0.0):
         raise ValidationError(f"ts must be finite and > 0, got {ts!r}")
     if not math.isfinite(t):
         raise ValidationError(f"{what} must be finite, got {t!r}")
+    if not math.isfinite(t / ts):
+        raise ValidationError(f"{what} = {t!r} is too large a multiple of ts = {ts!r}")
     k = int(round(t / ts))
     if abs(t - k * ts) > 1e-6 * ts:
         raise ValidationError(
@@ -348,8 +353,6 @@ def _load_series(
     bounds = [step_index(seg.t_start, ts) for seg in segments] + [n_steps]
     for seg, k0, k1 in zip(segments, bounds[:-1], bounds[1:]):
         span = k1 - k0
-        if span <= 0:
-            continue
         if seg.kind == "constant":
             out[k0:k1] = seg.level
         elif seg.kind == "ramp":
@@ -402,20 +405,20 @@ def _run_observer(
     """Run the observers of a group of agents of equal (n, m, n_inputs)
     over the whole horizon.
 
-    ``y`` is (g, K + 1, m) and ``u_x`` (g, K, n_u), one row per agent of
-    ``models``; ``residuals[j]`` receives agent j's y - C x^.  Each step
-    makes one batched ``gain_step`` for the agents whose gains still vary
-    and advances their z-recursion together, forming T B_x u
-    _DRIVE_CHUNK steps at a time.  An agent's gains freeze once its
-    covariance trace stops moving (|delta| < freeze_tol * max(1, |trace|));
-    the agent then leaves the batch and the rest of its z-recursion runs
-    as one blocked scan (``propagate_into``, in place over z).  Estimates
-    start from the first measurement when C = I (else from zero) with unit
-    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat
-    (g, K + 1, n), formed in place over z, and the final covariances
-    (g, n, n).
+    ``y`` is (g, K + 1, m) and ``u_x`` (g, K or K + 1, n_u), one row per
+    agent of ``models`` (K is read from ``y``; row K of ``u_x`` is unused);
+    ``residuals[j]`` receives agent j's y - C x^.  Each step makes one
+    batched ``gain_step`` for the agents whose gains still vary and
+    advances their z-recursion together, forming T B_x u _DRIVE_CHUNK
+    steps at a time.  An agent's gains freeze once its covariance trace
+    stops moving (|delta| < freeze_tol * max(1, |trace|)); the agent then
+    leaves the batch and the rest of its z-recursion runs as one blocked
+    scan (``propagate_into``, in place over z).  Estimates start from the
+    first measurement when C = I (else from zero) with unit covariance, z
+    offset so that x^_0 = z_0 + H y_0.  Returns x_hat (g, K + 1, n), formed
+    in place over z, and the final covariances (g, n, n).
     """
-    g, n_steps = u_x.shape[:2]
+    g, n_steps = y.shape[0], y.shape[1] - 1
     n = models[0].n
     batch = AgentBatch.of(models)
     h = batch.h
@@ -446,7 +449,7 @@ def _run_observer(
                 for j in np.flatnonzero(frozen):
                     # drive rows written over z[k + 1:], then propagated in place
                     tail = z[live[j], k:]
-                    np.matmul(u_x[live[j], k:], tb_t[live[j]], out=tail[1:])
+                    np.matmul(u_x[live[j], k:n_steps], tb_t[live[j]], out=tail[1:])
                     tail[1:] += y[live[j], k:n_steps] @ k_sum[j].T
                     propagate_into(f[j], tail)
                 p_end[live[frozen]] = p[frozen]
@@ -471,15 +474,15 @@ def _run_observer(
     return z, p_end
 
 
-def _group_blocks(models: dict[int, AgentModel], groups: list[list[int]], shape):
-    """One uninitialised array per group, with the agent axis first and
-    each agent's trailing ``shape(model)``, and a view of every agent's
-    slice keyed by agent id in ``models`` order."""
-    blocks = [np.empty((len(group),) + shape(models[group[0]])) for group in groups]
-    views = {
-        i: block[j] for group, block in zip(groups, blocks) for j, i in enumerate(group)
-    }
-    return blocks, dict(sorted(views.items()))
+def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
+    """Every agent's slice of its group's block (agent axis first), keyed
+    by agent id in id order."""
+    views = (
+        (i, block[j])
+        for group, block in zip(groups, blocks)
+        for j, i in enumerate(group)
+    )
+    return dict(sorted(views))
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
@@ -533,19 +536,12 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         ]
     )
 
-    # canonical per-state process noise variances from the agents' Q blocks;
-    # line entries take the variance assigned by their canonical tail agent
-    proc_var = np.zeros(2 * n + spec.n_line)
-    for i, model in models.items():
-        proc_var[i - 1] = model.q[0, 0]
-        proc_var[n + i - 1] = model.q[1, 1]
-        for j, cp in enumerate(model.couplings):
-            if cp.sign > 0:
-                proc_var[2 * n + cp.line_index] = model.q[2 + j, 2 + j]
+    # partition_agent gives every state the process noise variance q_state
+    proc_var = np.full(gm.n_state, config.noise.q_state)
     if config.noise.inject:
         w = sample_noise(_stream(config.seeds, _TAG_PROCESS), proc_var, size=n_steps)
     else:
-        w = np.zeros((n_steps, proc_var.shape[0]))
+        w = np.zeros((n_steps, gm.n_state))
 
     # monolithic physical layer: exported state and boundary voltages
     if config.initial_state == "steady":
@@ -554,62 +550,57 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         x0 = np.zeros(gm.n_state)
     x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
 
-    comms: dict[int, np.ndarray] = {}
-    u_x_blocks, u_x = _group_blocks(
-        models, groups, lambda model: (n_steps, model.b_x.shape[1])
-    )
-    for i, model in models.items():
-        received = x[:, [cp.neighbor - 1 for cp in model.couplings]]
-        for atk in config.attacks:
-            if atk.victim != i:
-                continue
-            slot = next(
-                j for j, cp in enumerate(model.couplings) if cp.neighbor == atk.source
-            )
-            k0 = step_index(atk.start, config.ts)
-            k1 = step_index(atk.end, config.ts)
-            received[k0:k1, slot] += atk.bias
-        comms[i] = received
-        # the observer consumes the telemetered (possibly falsified) voltages
-        u_x[i][:, 0] = u[:, i - 1]
-        u_x[i][:, 1:] = received[:n_steps]
-
-    # per-agent layer: each agent's sampled-data reality, advanced by its
-    # own model under the true (held) boundary voltages, sharing the
-    # physical noise draws in the agent's orientation
-    x_local: dict[int, np.ndarray] = {}
+    # one input block per group: row k holds each agent's source setpoint
+    # and the neighbour voltages it receives at step k; the last row is
+    # held but never consumed, and repeats the last setpoint
+    inputs, x_local, y = [], [], []
     for group in groups:
-        n_loc = models[group[0]].n
-        drive = np.empty((len(group), n_steps, n_loc))
-        x0_loc = np.empty((len(group), n_loc))
-        for g, i in enumerate(group):
-            model = models[i]
-            x0_loc[g] = x[0, model.state_index] * model.state_sign
-            boundary = x[:n_steps, [cp.neighbor - 1 for cp in model.couplings]]
-            u_phys = np.hstack([u[:, i - 1 : i], boundary])
-            w_loc = w[:, model.state_index] * model.state_sign
-            drive[g] = u_phys @ model.b_x.T + d[:, i - 1 : i] @ model.e.T + w_loc
-        loc = propagate(np.stack([models[i].a for i in group]), x0_loc, drive)
+        members = [models[i] for i in group]
+        buses = np.array(group) - 1
+        nbrs = [[cp.neighbor - 1 for cp in model.couplings] for model in members]
+        block = np.empty((len(group), n_steps + 1, 1 + len(nbrs[0])))
+        block[:, :n_steps, 0] = u[:, buses].T
+        block[:, n_steps, 0] = u[-1, buses]
+        block[..., 1:] = x[:, nbrs].swapaxes(0, 1)
+        # metered layer: each agent's sampled-data reality, advanced by its
+        # own model under the true (held) boundary voltages, sharing the
+        # physical noise draws in the agent's orientation
+        a, b_x, e, index, sign = (
+            np.stack([getattr(model, name) for model in members])
+            for name in ("a", "b_x", "e", "state_index", "state_sign")
+        )
+        drive = block[:, :n_steps] @ b_x.swapaxes(1, 2)
+        drive += d[:, buses].T[..., None] @ e.swapaxes(1, 2)
+        drive += w[:, index].swapaxes(0, 1) * sign[:, None]
+        loc = propagate(a, x[0, index] * sign, drive)
         del drive
-        x_local.update(zip(group, loc))
-    x_local = dict(sorted(x_local.items()))
-    # the physical inputs are spent; the observers read only u_x and y
+        x_local.append(loc)
+        y_block = np.empty((len(group), n_steps + 1, members[0].m))
+        for j, (i, model) in enumerate(zip(group, members)):
+            if config.noise.inject:
+                v = sample_noise(
+                    _stream(config.seeds, _TAG_MEASUREMENT, i),
+                    np.diag(model.r),
+                    size=n_steps + 1,
+                )
+            else:
+                v = 0.0
+            np.matmul(loc[j], model.c.T, out=y_block[j])
+            y_block[j] += v
+        y.append(y_block)
+        # the metered layer has read the true voltages; the observers and
+        # comms see what was sent, falsified by the attacks
+        for atk in config.attacks:
+            if atk.victim in group:
+                j = group.index(atk.victim)
+                slot = 1 + nbrs[j].index(atk.source - 1)
+                k0 = step_index(atk.start, config.ts)
+                k1 = step_index(atk.end, config.ts)
+                block[j, k0:k1, slot] += atk.bias
+        inputs.append(block)
+    # the physical inputs are spent; the observers read only the blocks
     del u, d, w
 
-    y_blocks, y = _group_blocks(models, groups, lambda model: (n_steps + 1, model.m))
-    for i, model in models.items():
-        if config.noise.inject:
-            v = sample_noise(
-                _stream(config.seeds, _TAG_MEASUREMENT, i),
-                np.diag(model.r),
-                size=n_steps + 1,
-            )
-        else:
-            v = 0.0
-        np.matmul(x_local[i], model.c.T, out=y[i])
-        y[i] += v
-
-    x_hat: dict[int, np.ndarray] = {}
     sigmas: dict[int, np.ndarray] = {}
     k_warm = step_index(config.warmup, config.ts, "warmup")
     # every agent's residual channels side by side, so that one EWMA call
@@ -620,18 +611,18 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         i: residual_block[:, start:end]
         for i, start, end in zip(models, bounds[:-1], bounds[1:])
     }
-    p_end: dict[int, np.ndarray] = {}
-    for group, y_block, u_x_block in zip(groups, y_blocks, u_x_blocks):
+    x_hat, p_end = [], []
+    for group, y_block, block in zip(groups, y, inputs):
         xh, p_group = _run_observer(
             [models[i] for i in group],
             y_block,
-            u_x_block,
+            block,
             [residuals[i] for i in group],
             config,
         )
-        x_hat.update(zip(group, xh))
-        p_end.update(zip(group, p_group))
-    x_hat = dict(sorted(x_hat.items()))
+        x_hat.append(xh)
+        p_end.append(p_group)
+    p_end = _by_agent(groups, p_end)
     for i, model in models.items():
         if config.detector.sigma_source == "warmup":
             stop = max(k_warm + 1, 2)
@@ -639,8 +630,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         else:
             sigmas[i] = np.sqrt(np.diag(model.c @ p_end[i] @ model.c.T + model.r))
 
-    # free the observer inputs before the detector's arrays
-    del u_x, u_x_blocks, u_x_block
     stat = ewma_statistic(
         residual_block[k_warm:],
         np.concatenate(list(sigmas.values())),
@@ -663,10 +652,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         times=times,
         x_true=x,
         state_labels=list(gm.state_labels),
-        y=y,
-        comms=comms,
-        x_local=x_local,
-        x_hat=x_hat,
+        y=_by_agent(groups, y),
+        comms=_by_agent(groups, [block[..., 1:] for block in inputs]),
+        x_local=_by_agent(groups, x_local),
+        x_hat=_by_agent(groups, x_hat),
         residuals=residuals,
         sigmas=sigmas,
         alarms=alarms,

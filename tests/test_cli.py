@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -297,6 +298,92 @@ def test_non_finite_number_exits_2_naming_the_field(tmp_path, where, keys, value
     code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
     assert code == 2
     assert f"{where} must be finite" in err
+
+
+_BUNDLED = json.loads(SCENARIO.read_text())
+
+
+def _edited(obj: dict, edits) -> dict:
+    """A copy of ``obj`` with each (key path, value) of ``edits`` set; an
+    edit whose path an earlier edit removed is skipped."""
+    obj = copy.deepcopy(obj)
+    for keys, value in edits:
+        target = obj
+        try:
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]]  # the node must still exist
+        except (KeyError, IndexError, TypeError):
+            continue
+        target[keys[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "where, keys",
+    [
+        ("horizon", ("horizon",)),
+        ("warmup", ("warmup",)),
+        ("load_profiles[1][0].t_start", ("load_profiles", "1", 0, "t_start")),
+        ("load_profiles[2][1].t_start", ("load_profiles", "2", 1, "t_start")),
+        ("source_schedule[3][0].t_start", ("source_schedule", "3", 0, "t_start")),
+        ("attacks[0].start", ("attacks", 0, "start")),
+        ("attacks[1].end", ("attacks", 1, "end")),
+    ],
+)
+def test_huge_time_exits_2_naming_the_field(tmp_path, where, keys):
+    # 1e308 / ts overflows to inf, which has no step index
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_edited(_BUNDLED, [(keys, 1e308)])))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err.startswith("error:") and where in err
+
+
+def _nodes(obj, path=()):
+    """The key path of every node below ``obj``."""
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+_BAD_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -1.0, -1, 0, 1e308, -1e308,
+    10**30, "x", None, True, [], {},
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+# validation only: a valid scenario with a huge horizon would allocate in
+# proportion if it ran
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(_nodes(_BUNDLED))),
+            st.one_of(st.sampled_from(_BAD_VALUES), st.floats()),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([(("horizon",), 1e308)])
+@example([(("ts",), 5e-324)])
+def test_fuzzed_scenario_validates_or_exits_2(fuzz_path, edits):
+    fuzz_path.write_text(json.dumps(_edited(_BUNDLED, edits)))
+    code, _, err = run_cli(fuzz_path, fuzz_path.parent / "out", validate_only=True)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error:")
 
 
 def test_runtime_failure_exits_1(tmp_path, monkeypatch):

@@ -224,6 +224,10 @@ def test_attacks_leave_other_agents_untouched():
     for i in (2, 3):
         assert np.array_equal(trace.residuals[i], base.residuals[i])
         assert np.array_equal(trace.y[i], base.y[i])
+    # the victim's metered layer runs on the true voltages; only what it
+    # receives is falsified
+    assert np.array_equal(trace.x_local[1], base.x_local[1])
+    assert np.array_equal(trace.y[1], base.y[1])
     k0 = step_index(1.5, cfg.ts)
     assert np.array_equal(trace.residuals[1][: k0 + 1], base.residuals[1][: k0 + 1])
     assert not np.array_equal(trace.residuals[1], base.residuals[1])
