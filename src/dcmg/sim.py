@@ -31,9 +31,12 @@ then the attack biases are added in place for the observers and
 agent's gains still vary, every step makes one batched ``uio.gain_step``
 for those agents and advances their z-recursions together; each agent
 whose gains have frozen leaves the batch, and the rest of its horizon
-runs as one scan.  The plant, the metered layer and those frozen tails
-all step their linear recursions with ``lti.propagate`` (the tails with
-its in-place form).
+runs as one scan.  The gain recursion is a pure function of P, and in
+float64 it soon repeats itself bit for bit; once the batch's P repeats,
+the engine replays the period's gains instead of stepping them again.
+The plant, the metered layer and those frozen tails all step their
+linear recursions with ``lti.propagate`` (the tails with its in-place
+form).  A plant state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -59,6 +62,7 @@ from .detect import (  # noqa: F401
 from .errors import (
     InvalidTopology,
     NegativeVariance,
+    NonFinite,
     NonPositiveInput,
     ValidationError,
 )
@@ -417,6 +421,16 @@ def _run_observer(
     first measurement when C = I (else from zero) with unit covariance, z
     offset so that x^_0 = z_0 + H y_0.  Returns x_hat (g, K + 1, n), formed
     in place over z, and the final covariances (g, n, n).
+
+    P' depends on P alone, so once the batch's stacked P equals an
+    earlier one bit for bit, every later step repeats the steps between
+    the two.  Brent's cycle search (Brent 1980, BIT 20) finds such a
+    repeat with one checkpoint P, moved on to the current P after 1, 2,
+    4, ... steps and reset when agents leave the batch.  On a hit the
+    period's (F, K1 + K2, P') are stepped once more from the checkpoint
+    and then replayed, with no further ``gain_step`` call: every trace
+    pair of the cycle has passed the freeze rule already, so no agent
+    freezes later.  Replay gives the same bits as stepping.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     n = models[0].n
@@ -435,15 +449,21 @@ def _run_observer(
     p_end = np.empty_like(p)
     tr_prev = p.trace(axis1=1, axis2=2)
     live = np.arange(g)  # the agents whose gains still vary
+    # Brent's search for an exact repeat of the batch's P: ``mark`` is the
+    # checkpoint, ``lam`` the steps taken since it was set and ``power`` the
+    # steps after which it moves on to the current P
+    mark, power, lam = p, 1, 0
+    cycle = None  # once P repeats: the period's (F, K1 + K2, P'), from k_hit
     for k in range(n_steps):
         if k % _DRIVE_CHUNK == 0:
             tbu = u_x[:, k : k + _DRIVE_CHUNK] @ tb_t
-        gains, p = gain_step(batch, p)
-        tr = p.trace(axis1=1, axis2=2)
-        f, k_sum = gains.f, gains.k1 + gains.k2
-        if config.freeze_gains:
-            frozen = np.abs(tr - tr_prev) < config.freeze_tol * np.maximum(
-                1.0, np.abs(tr)
+        if cycle:
+            f, k_sum, p = cycle[(k - k_hit) % len(cycle)]
+        else:
+            [(f, k_sum, p)] = _gain_steps(batch, p, 1)
+            tr = p.trace(axis1=1, axis2=2)
+            frozen = config.freeze_gains & (
+                np.abs(tr - tr_prev) < config.freeze_tol * np.maximum(1.0, np.abs(tr))
             )
             if frozen.any():
                 for j in np.flatnonzero(frozen):
@@ -458,12 +478,22 @@ def _run_observer(
                 f, k_sum = f[keep], k_sum[keep]
                 if not live.size:
                     break
+                # the batch changed: search again from its P
+                mark, power, lam = p, 1, 0
+            else:
+                lam += 1
+                if np.array_equal(p, mark):
+                    # every step from here on repeats the last lam steps,
+                    # and none of them froze an agent
+                    cycle, k_hit = _gain_steps(batch, p, lam), k + 1
+                elif lam == power:
+                    mark, power, lam = p, 2 * power, 0
+            tr_prev = tr
         z[live, k + 1] = (
             (f @ z[live, k, :, None])[..., 0]
             + tbu[live, k % _DRIVE_CHUNK]
             + (k_sum @ y[live, k, :, None])[..., 0]
         )
-        tr_prev = tr
     else:
         p_end[live] = p
     for j, model in enumerate(models):
@@ -472,6 +502,15 @@ def _run_observer(
         x_hat[0] = x0[j]
         np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
     return z, p_end
+
+
+def _gain_steps(batch: AgentBatch, p: np.ndarray, count: int) -> list[tuple]:
+    """(F, K1 + K2, P') of each of ``count`` batched gain steps from ``p``."""
+    steps = []
+    for _ in range(count):
+        gains, p = gain_step(batch, p)
+        steps.append((gains.f, gains.k1 + gains.k2, p))
+    return steps
 
 
 def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
@@ -543,12 +582,20 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     else:
         w = np.zeros((n_steps, gm.n_state))
 
-    # monolithic physical layer: exported state and boundary voltages
-    if config.initial_state == "steady":
-        x0 = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
-    else:
-        x0 = np.zeros(gm.n_state)
-    x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
+    # monolithic physical layer: exported state and boundary voltages; an
+    # overflow is reported below as the step it reached, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.initial_state == "steady":
+            x0 = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
+        else:
+            x0 = np.zeros(gm.n_state)
+        x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
+    if not np.isfinite(x).all():
+        k = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise NonFinite(
+            f"plant state is not finite from step {k} (t = {times[k]:g} s); "
+            "a network parameter or input is too large"
+        )
 
     # one input block per group: row k holds each agent's source setpoint
     # and the neighbour voltages it receives at step k; the last row is

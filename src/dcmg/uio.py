@@ -24,7 +24,10 @@ measurement counts step it together: :class:`AgentBatch` stacks their
 matrices along a leading agent axis, and :func:`gain_step` updates every
 agent of a batch with stacked matrix products, one stacked solve and one
 stacked eigendecomposition.  Given a single :class:`AgentModel` it makes
-the same update for that agent alone.
+the same update for that agent alone.  The update reads nothing but P,
+and in float64 it soon cycles exactly, so ``sim._run_observer`` calls it
+only until the batch's P repeats bit for bit and then replays the
+period's gains.
 """
 
 from __future__ import annotations

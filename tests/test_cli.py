@@ -412,6 +412,35 @@ def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch):
     assert err == "error: Singular matrix\n"
 
 
+@pytest.mark.parametrize(
+    "initial_state, where", [("steady", "step 0 (t = 0 s)"), ("zero", "step 63 (t = 0.0063 s)")]
+)
+def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, where):
+    # finite but huge: passes validation, then the plant state overflows
+    scn = _edited(
+        _BUNDLED,
+        [
+            (("network", "buses", 0, "v_source_nominal"), 1e308),
+            (("horizon",), 0.02),
+            (("warmup",), 0.005),
+            (("initial_state",), initial_state),
+            (("source_schedule",), {}),
+            (("attacks",), []),
+        ],
+    )
+    for segments in scn["load_profiles"].values():
+        del segments[1:]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scn))
+    assert run_cli(path, validate_only=True)[0] == 0
+    code, out, err = run_cli(path, tmp_path / "out")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: plant state is not finite from {where}; "
+        "a network parameter or input is too large\n"
+    )
+
+
 def test_parse_error_type():
     with pytest.raises(ParseError):
         cli.load_config("/definitely/not/here.json")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dcmg.sim as sim
 from dcmg.errors import NegativeVariance, ValidationError
 from dcmg.lti import propagate
 from dcmg.netmodel import LineParams, NetworkSpec
@@ -21,6 +22,7 @@ from dcmg.sim import (
     step_index,
     validate_config,
 )
+from dcmg.uio import gain_step
 from oracles import observer_loop
 
 
@@ -279,6 +281,55 @@ def test_batched_observer_matches_per_agent_loop(agent_models, freeze_gains):
         assert len(set(frozen_at)) == 3 and None not in frozen_at
     else:
         assert frozen_at == [None] * 3
+
+
+@pytest.mark.parametrize(
+    "scales, freeze_gains, freeze_tol, max_calls",
+    [
+        ((1.0, 1.0, 1.0), False, 1e-12, 200),
+        ((1.0, 30.0, 0.3), False, 1e-12, 1000),
+        # gains freeze only on an exactly repeated trace: agents 1 and 3
+        # freeze and leave the batch, whose search then restarts, while
+        # agent 2's P cycles with period 2 and its trace never repeats
+        ((30.0, 100.0, 1.0), True, 1e-300, 200),
+    ],
+)
+def test_replayed_gain_cycle_matches_per_agent_loop(
+    agent_models, monkeypatch, scales, freeze_gains, freeze_tol, max_calls
+):
+    # in float64 the varying gains enter an exact cycle (from about step
+    # 100 unscaled, about 660 scaled), after which the engine replays the
+    # period instead of calling gain_step
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return gain_step(*args)
+
+    monkeypatch.setattr(sim, "gain_step", counted)
+    rng = np.random.default_rng(11)
+    models = [
+        dataclasses.replace(model, q=model.q * scale, r=model.r / scale)
+        for model, scale in zip(agent_models.values(), scales)
+    ]
+    n_steps = 2000
+    y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
+    u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
+    res = np.empty_like(y)
+    cfg = ScenarioConfig(freeze_gains=freeze_gains, freeze_tol=freeze_tol)
+    x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
+    assert len(calls) < max_calls
+    frozen_at = []
+    for j, model in enumerate(models):
+        xh_ref, res_ref, p_ref, k_ref = observer_loop(
+            model, y[j], u_x[j], freeze_gains, freeze_tol, propagate
+        )
+        assert np.array_equal(x_hat[j], xh_ref)
+        assert np.array_equal(res[j], res_ref)
+        assert np.array_equal(p_end[j], p_ref)
+        frozen_at.append(k_ref)
+    if freeze_gains:
+        assert frozen_at[1] is None and None not in (frozen_at[0], frozen_at[2])
 
 
 def test_path_network_splits_into_groups_matching_per_agent_loop():
