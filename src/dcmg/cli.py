@@ -202,12 +202,11 @@ def build_report(
     k_warm = step_index(config.warmup, config.ts, "warmup")
     rms: dict[int, dict[str, float]] = {}
     for agent, res in trace.residuals.items():
-        tail = res[k_warm:]
+        # one contiguous row per channel, which the reductions run through
+        # several times faster than a strided column
+        channels = np.ascontiguousarray(res[k_warm:].T)
         labels = trace.models[agent].labels
-        rms[agent] = {
-            lab: float(np.sqrt(np.mean(tail[:, c] ** 2)))
-            for c, lab in enumerate(labels)
-        }
+        rms[agent] = {lab: _rms(ch) for lab, ch in zip(labels, channels)}
     return RunReport(
         digest=config_digest(config),
         n_steps=len(trace.times) - 1,
@@ -217,6 +216,16 @@ def build_report(
         events=list(trace.alarms),
         residual_rms=rms,
     )
+
+
+def _rms(values: np.ndarray) -> float:
+    """Root mean square, scaled by the largest |value| so that finite
+    values give a finite result; all zeros give 0."""
+    peak = max(values.max(), -values.min())
+    if peak == 0.0:
+        return 0.0
+    scaled = values / peak
+    return float(peak * np.sqrt(np.mean(scaled * scaled)))
 
 
 def write_artifacts(

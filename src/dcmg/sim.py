@@ -29,14 +29,16 @@ once: the metered layer forms its drive from them while they are true,
 then the attack biases are added in place for the observers and
 ``comms``.  The observers of a group run as one engine: while any
 agent's gains still vary, every step makes one batched ``uio.gain_step``
-for those agents and advances their z-recursions together; each agent
-whose gains have frozen leaves the batch, and the rest of its horizon
-runs as one scan.  The gain recursion is a pure function of P, and in
-float64 it soon repeats itself bit for bit; once the batch's P repeats,
-the engine replays the period's gains instead of stepping them again.
-The plant, the metered layer and those frozen tails all step their
-linear recursions with ``lti.propagate`` (the tails with its in-place
-form).  A plant state that overflows raises ``NonFinite``.
+for those agents and advances their z-recursions together.  Agents whose
+gains have frozen leave the batch.  The gain recursion is a pure
+function of P, and in float64 it soon repeats itself bit for bit; once
+the batch's P repeats, the whole batch leaves with the period's gains,
+stepped once more, and no further ``gain_step`` is made.  Either way the
+rest of a leaving agent's horizon is a periodic linear recursion in z
+(period 1 for frozen gains), and the agents that leave on one step run
+it together as one lifted scan, ``lti.propagate_periodic_into``.  The
+plant and the metered layer step their linear recursions with
+``lti.propagate``.  A plant state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -66,7 +68,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh, propagate, propagate_into
+from .lti import discretize_zoh, propagate, propagate_periodic_into
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentBatch, AgentModel, discretize_agent, gain_step
 
@@ -405,32 +407,43 @@ def _run_observer(
     u_x: np.ndarray,
     residuals: list[np.ndarray],
     config: ScenarioConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Run the observers of a group of agents of equal (n, m, n_inputs)
     over the whole horizon.
 
     ``y`` is (g, K + 1, m) and ``u_x`` (g, K or K + 1, n_u), one row per
     agent of ``models`` (K is read from ``y``; row K of ``u_x`` is unused);
-    ``residuals[j]`` receives agent j's y - C x^.  Each step makes one
-    batched ``gain_step`` for the agents whose gains still vary and
-    advances their z-recursion together, forming T B_x u _DRIVE_CHUNK
-    steps at a time.  An agent's gains freeze once its covariance trace
-    stops moving (|delta| < freeze_tol * max(1, |trace|)); the agent then
-    leaves the batch and the rest of its z-recursion runs as one blocked
-    scan (``propagate_into``, in place over z).  Estimates start from the
-    first measurement when C = I (else from zero) with unit covariance, z
-    offset so that x^_0 = z_0 + H y_0.  Returns x_hat (g, K + 1, n), formed
-    in place over z, and the final covariances (g, n, n).
+    ``residuals[j]`` receives agent j's y - C x^.  Estimates start from
+    the first measurement when C = I (else from zero) with unit
+    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat, one
+    (K + 1, n) array per agent formed in place over z, and the final
+    covariances (g, n, n).
 
-    P' depends on P alone, so once the batch's stacked P equals an
-    earlier one bit for bit, every later step repeats the steps between
-    the two.  Brent's cycle search (Brent 1980, BIT 20) finds such a
-    repeat with one checkpoint P, moved on to the current P after 1, 2,
-    4, ... steps and reset when agents leave the batch.  On a hit the
-    period's (F, K1 + K2, P') are stepped once more from the checkpoint
-    and then replayed, with no further ``gain_step`` call: every trace
-    pair of the cycle has passed the freeze rule already, so no agent
-    freezes later.  Replay gives the same bits as stepping.
+    While the gains vary, each step makes one batched ``gain_step`` for
+    the agents still in the batch and advances their z-recursions
+    together, forming T B_x u _DRIVE_CHUNK steps at a time.  Agents leave
+    the batch in two ways, and the rest of their horizon is then a
+    periodic linear recursion in z, run by one
+    ``lti.propagate_periodic_into`` call in place over z:
+
+    - an agent's gains freeze once its covariance trace stops moving
+      (|delta| < freeze_tol * max(1, |trace|)): period 1, that step's
+      gains;
+    - P' depends on P alone, so once the batch's stacked P equals an
+      earlier one bit for bit, every later step repeats the steps between
+      the two.  Brent's cycle search (Brent 1980, BIT 20) finds such a
+      repeat with one checkpoint P, moved on to the current P after 1, 2,
+      4, ... steps and reset when agents leave the batch.  On a hit the
+      period's (F, K1 + K2, P') are stepped once more from the checkpoint
+      and the whole batch leaves with them: every trace pair of the cycle
+      has passed the freeze rule already, so no agent would freeze later.
+
+    The drive of a tail, T B_x u_k + (K1 + K2)_(k mod L) y_k, is written
+    over the agent's z rows first.  Agents that leave together move to
+    adjacent slots of z, behind those still in the batch, so that their
+    tails are one view of it.  A period-1 tail gives the same bits as
+    stepping; a longer period reorders the products, and differs from
+    stepping by rounding.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     n = models[0].n
@@ -448,60 +461,68 @@ def _run_observer(
     p = np.tile(np.eye(n), (g, 1, 1))
     p_end = np.empty_like(p)
     tr_prev = p.trace(axis1=1, axis2=2)
-    live = np.arange(g)  # the agents whose gains still vary
+    # z[s] holds agent order[s]; the first ``live`` slots are the batch
+    order, live = np.arange(g), g
     # Brent's search for an exact repeat of the batch's P: ``mark`` is the
     # checkpoint, ``lam`` the steps taken since it was set and ``power`` the
     # steps after which it moves on to the current P
     mark, power, lam = p, 1, 0
-    cycle = None  # once P repeats: the period's (F, K1 + K2, P'), from k_hit
     for k in range(n_steps):
         if k % _DRIVE_CHUNK == 0:
             tbu = u_x[:, k : k + _DRIVE_CHUNK] @ tb_t
-        if cycle:
-            f, k_sum, p = cycle[(k - k_hit) % len(cycle)]
+        if lam and np.array_equal(p, mark):
+            # every step from here on repeats the last lam steps, and none
+            # of them froze an agent: the whole batch leaves
+            steps = _gain_steps(batch, p, lam)
+            leave = np.ones(live, dtype=bool)
         else:
-            [(f, k_sum, p)] = _gain_steps(batch, p, 1)
+            if lam == power:
+                mark, power, lam = p, 2 * power, 0
+            steps = _gain_steps(batch, p, 1)
+            [(f, k_sum, p)] = steps
             tr = p.trace(axis1=1, axis2=2)
-            frozen = config.freeze_gains & (
+            leave = config.freeze_gains & (
                 np.abs(tr - tr_prev) < config.freeze_tol * np.maximum(1.0, np.abs(tr))
             )
-            if frozen.any():
-                for j in np.flatnonzero(frozen):
-                    # drive rows written over z[k + 1:], then propagated in place
-                    tail = z[live[j], k:]
-                    np.matmul(u_x[live[j], k:n_steps], tb_t[live[j]], out=tail[1:])
-                    tail[1:] += y[live[j], k:n_steps] @ k_sum[j].T
-                    propagate_into(f[j], tail)
-                p_end[live[frozen]] = p[frozen]
-                keep = ~frozen
-                live, batch, p, tr = live[keep], batch.take(keep), p[keep], tr[keep]
-                f, k_sum = f[keep], k_sum[keep]
-                if not live.size:
-                    break
-                # the batch changed: search again from its P
-                mark, power, lam = p, 1, 0
-            else:
-                lam += 1
-                if np.array_equal(p, mark):
-                    # every step from here on repeats the last lam steps,
-                    # and none of them froze an agent
-                    cycle, k_hit = _gain_steps(batch, p, lam), k + 1
-                elif lam == power:
-                    mark, power, lam = p, 2 * power, 0
-            tr_prev = tr
-        z[live, k + 1] = (
-            (f @ z[live, k, :, None])[..., 0]
-            + tbu[live, k % _DRIVE_CHUNK]
-            + (k_sum @ y[live, k, :, None])[..., 0]
+            tr_prev, lam = tr, lam + 1
+        if leave.any():
+            keep = ~leave
+            stay = int(np.count_nonzero(keep))
+            moved = np.argsort(leave, kind="stable")  # the kept slots first
+            z[:live, : k + 1] = z[moved, : k + 1]
+            order[:live] = order[moved]
+            f_tab, k_tab, p_tab = (
+                np.stack(part, axis=1)[leave] for part in zip(*steps)
+            )
+            period = len(steps)
+            tail = z[stay:live, k:]
+            for row, j, k_sums in zip(tail, order[stay:live], k_tab):
+                np.matmul(u_x[j, k:n_steps], tb_t[j], out=row[1:])
+                for i, k_sum_i in enumerate(k_sums):
+                    row[1 + i :: period] += y[j, k + i : n_steps : period] @ k_sum_i.T
+            propagate_periodic_into(f_tab, tail)
+            p_end[order[stay:live]] = p_tab[:, (n_steps - 1 - k) % period]
+            live = stay
+            if not live:
+                break
+            batch, p, tr_prev = batch.take(keep), p[keep], tr_prev[keep]
+            f, k_sum = f[keep], k_sum[keep]
+            # the batch changed: search again from its P
+            mark, power, lam = p, 1, 0
+        batched = order[:live]
+        z[:live, k + 1] = (
+            (f @ z[:live, k, :, None])[..., 0]
+            + tbu[batched, k % _DRIVE_CHUNK]
+            + (k_sum @ y[batched, k, :, None])[..., 0]
         )
     else:
-        p_end[live] = p
-    for j, model in enumerate(models):
-        x_hat = z[j]
+        p_end[order[:live]] = p
+    for s, j in enumerate(order):
+        x_hat = z[s]
         x_hat += y[j] @ h[j].T
         x_hat[0] = x0[j]
-        np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
-    return z, p_end
+        np.subtract(y[j], x_hat @ models[j].c.T, out=residuals[j])
+    return [z[s] for s in np.argsort(order)], p_end
 
 
 def _gain_steps(batch: AgentBatch, p: np.ndarray, count: int) -> list[tuple]:

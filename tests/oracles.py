@@ -53,15 +53,24 @@ def zoh_series(a_c, b_c, e_c, ts, terms=30):
     return ex[:n, :n], ex[:n, n : n + nb], ex[:n, n + nb :]
 
 
-def propagate_loop(a, x0, drive):
+def propagate_loop(a, x0, drive, periodic=False):
     """States of x_{k+1} = a x_k + drive_k, one step at a time for each
-    index of the leading batch axes of ``a`` (..., n, n)."""
+    index of the leading batch axes of ``drive`` (..., K, n).
+
+    ``a`` is (..., n, n); with ``periodic`` it is a table (..., L, n, n)
+    instead, and step k multiplies by its entry k mod L.
+    """
     a = np.asarray(a, dtype=float)
+    if not periodic:
+        a = a[..., None, :, :]
     out = np.empty(drive.shape[:-2] + (drive.shape[-2] + 1, a.shape[-1]))
-    for idx in np.ndindex(a.shape[:-2]):
+    for idx in np.ndindex(drive.shape[:-2]):
+        table = a[idx]
         out[idx + (0,)] = x0[idx]
         for k in range(drive.shape[-2]):
-            out[idx + (k + 1,)] = a[idx] @ out[idx + (k,)] + drive[idx + (k,)]
+            out[idx + (k + 1,)] = (
+                table[k % len(table)] @ out[idx + (k,)] + drive[idx + (k,)]
+            )
     return out
 
 

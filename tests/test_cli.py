@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,40 @@ def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, wher
         f"error: plant state is not finite from {where}; "
         "a network parameter or input is too large\n"
     )
+
+
+def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):
+    # finite but huge: the plant stays finite from a zero start, and the
+    # residuals' squares would overflow
+    scn = _edited(
+        _BUNDLED,
+        [
+            (("network", "buses", 0, "v_source_nominal"), 1e306),
+            (("horizon",), 0.02),
+            (("warmup",), 0.005),
+            (("initial_state",), "zero"),
+            (("source_schedule",), {}),
+            (("attacks",), []),
+        ],
+    )
+    for segments in scn["load_profiles"].values():
+        del segments[1:]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scn))
+    reports, build_report = [], cli.build_report
+
+    def strict(*args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports.append(build_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "build_report", strict)
+    code, _, err = run_cli(path, tmp_path / "out", quiet=True)
+    assert code == 0, err
+    rms = [v for agent in reports[0].residual_rms.values() for v in agent.values()]
+    assert len(rms) == 12 and np.isfinite(rms).all()
+    assert max(rms) > 1e200  # far past the 1.3e154 whose square overflows
 
 
 def test_parse_error_type():
