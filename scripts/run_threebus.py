@@ -26,7 +26,7 @@ from dcmg.cli import (  # noqa: E402
     write_artifacts,
 )
 from dcmg.errors import DcmgError  # noqa: E402
-from dcmg.sim import run_scenario, step_index  # noqa: E402
+from dcmg.sim import run_scenario, step_index, validate_config  # noqa: E402
 
 DEFAULT = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 
@@ -47,11 +47,12 @@ def main() -> int:
 
     try:
         config = load_config(args.scenario)
+        if args.seed is not None:
+            config.seeds.root = args.seed
+            validate_config(config)
     except DcmgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seeds.root = args.seed
     print(f"scenario {args.scenario}")
     print(f"digest   {config_digest(config)}")
 

@@ -13,9 +13,10 @@ and loads -- produces the exported global state and the bus voltages the
 agents exchange.  On top of it, each agent's metered reality advances by
 that agent's own discretized model, driven by the received (held)
 boundary voltages and sharing the physical layer's noise draws in its
-own orientation.  This keeps every observer exactly matched to the data
-it consumes, which the residual analysis relies on: feeding the agents
-slices of the monolithic state instead would make the held-voltage
+own orientation.  Each observer thus reads data of its own model, which
+the residual analysis relies on; the detector's guarantees cover such
+data, not the physical layer's slice (ROADMAP item 6).  Feeding the
+agents slices of the monolithic state instead would make the held-voltage
 assumption wrong within each step (1/C is large) and swamp the line
 channels with noise far above the modelled innovation covariance, while
 closing the loop among the per-agent models (each integrating against
@@ -35,10 +36,11 @@ function of P, and in float64 it soon repeats itself bit for bit; once
 the batch's P repeats, the whole batch leaves with the period's gains,
 stepped once more, and no further ``gain_step`` is made.  Either way the
 rest of a leaving agent's horizon is a periodic linear recursion in z
-(period 1 for frozen gains), and the agents that leave on one step run
-it together as one lifted scan, ``lti.propagate_periodic_into``.  The
-plant and the metered layer step their linear recursions with
-``lti.propagate``.  A plant state that overflows raises ``NonFinite``.
+(period 1 for frozen gains), and the agents of adjacent rows of z that
+leave on one step run it together as one lifted scan,
+``lti.propagate_periodic_into``.  The plant and the metered layer step
+their linear recursions with ``lti.propagate``.  A plant state that
+overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -75,9 +77,6 @@ from .uio import AgentBatch, AgentModel, discretize_agent, gain_step
 _TAG_PROCESS = 0
 _TAG_MEASUREMENT = 1
 _TAG_LOAD = 2
-
-# steps of T B_x u formed at a time while an observer's gains still vary
-_DRIVE_CHUNK = 256
 
 LOAD_KINDS = ("constant", "ramp", "random_walk")
 INITIAL_STATES = ("steady", "zero")
@@ -273,10 +272,17 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.noise.q_state < 0 or config.noise.r_bus < 0 or config.noise.r_line < 0:
         raise ValidationError("noise: variances must be >= 0")
 
+    seeds = {"root": config.seeds.root}
+    if config.seeds.process is not None:
+        seeds["process"] = config.seeds.process
     for name in ("measurement", "load"):
-        for bus in sorted(getattr(config.seeds, name)):
+        for bus, seed in sorted(getattr(config.seeds, name).items()):
             if not (1 <= bus <= n):
                 raise ValidationError(f"seeds.{name}: unknown bus id {bus}")
+            seeds[f"{name}[{bus}]"] = seed
+    for key, seed in seeds.items():
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"seeds.{key} must be an integer >= 0, got {seed!r}")
 
     for bus, segments in sorted(config.load_profiles.items()):
         for here, seg in _schedule("load_profiles", "profile", bus, segments, config):
@@ -322,9 +328,9 @@ def validate_config(config: ScenarioConfig) -> None:
         config.detector.validate()
     except NonPositiveInput as exc:
         raise ValidationError(f"detector: {exc}") from exc
-    if config.detector.sigma_source == "warmup" and k_warm == 0:
+    if config.detector.sigma_source == "warmup" and k_warm < 2:
         raise ValidationError(
-            "detector.sigma_source = 'warmup' needs a positive warmup window"
+            "detector.sigma_source = 'warmup' needs a positive warmup of >= 2 steps"
         )
 
 
@@ -407,7 +413,7 @@ def _run_observer(
     u_x: np.ndarray,
     residuals: list[np.ndarray],
     config: ScenarioConfig,
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the observers of a group of agents of equal (n, m, n_inputs)
     over the whole horizon.
 
@@ -415,16 +421,15 @@ def _run_observer(
     agent of ``models`` (K is read from ``y``; row K of ``u_x`` is unused);
     ``residuals[j]`` receives agent j's y - C x^.  Estimates start from
     the first measurement when C = I (else from zero) with unit
-    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat, one
-    (K + 1, n) array per agent formed in place over z, and the final
-    covariances (g, n, n).
+    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat
+    (g, K + 1, n), formed in place over z, and the final P (g, n, n).
 
     While the gains vary, each step makes one batched ``gain_step`` for
     the agents still in the batch and advances their z-recursions
-    together, forming T B_x u _DRIVE_CHUNK steps at a time.  Agents leave
-    the batch in two ways, and the rest of their horizon is then a
-    periodic linear recursion in z, run by one
-    ``lti.propagate_periodic_into`` call in place over z:
+    together.  Agent j keeps row j of z throughout, and row k + 1 holds
+    its drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  Agents
+    leave the batch in two ways, and the rest of their horizon is then a
+    periodic linear recursion in z, run by ``lti.propagate_periodic_into``:
 
     - an agent's gains freeze once its covariance trace stops moving
       (|delta| < freeze_tol * max(1, |trace|)): period 1, that step's
@@ -438,12 +443,10 @@ def _run_observer(
       and the whole batch leaves with them: every trace pair of the cycle
       has passed the freeze rule already, so no agent would freeze later.
 
-    The drive of a tail, T B_x u_k + (K1 + K2)_(k mod L) y_k, is written
-    over the agent's z rows first.  Agents that leave together move to
-    adjacent slots of z, behind those still in the batch, so that their
-    tails are one view of it.  A period-1 tail gives the same bits as
-    stepping; a longer period reorders the products, and differs from
-    stepping by rounding.
+    A tail adds the (K1 + K2)_(k mod L) y_k terms to its rows, and the
+    leaving agents of adjacent rows run as one call.  A period-1 tail
+    gives the same bits as stepping; a longer period reorders the
+    products, and differs from stepping by rounding.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     n = models[0].n
@@ -458,23 +461,22 @@ def _run_observer(
     )
     z = np.empty((g, n_steps + 1, n))
     z[:, 0] = x0 - (h @ y[:, 0, :, None])[..., 0]
+    for j in range(g):
+        np.matmul(u_x[j, :n_steps], tb_t[j], out=z[j, 1:])
     p = np.tile(np.eye(n), (g, 1, 1))
     p_end = np.empty_like(p)
     tr_prev = p.trace(axis1=1, axis2=2)
-    # z[s] holds agent order[s]; the first ``live`` slots are the batch
-    order, live = np.arange(g), g
+    live = np.arange(g)  # the agents still in the batch
     # Brent's search for an exact repeat of the batch's P: ``mark`` is the
     # checkpoint, ``lam`` the steps taken since it was set and ``power`` the
     # steps after which it moves on to the current P
     mark, power, lam = p, 1, 0
     for k in range(n_steps):
-        if k % _DRIVE_CHUNK == 0:
-            tbu = u_x[:, k : k + _DRIVE_CHUNK] @ tb_t
         if lam and np.array_equal(p, mark):
             # every step from here on repeats the last lam steps, and none
             # of them froze an agent: the whole batch leaves
             steps = _gain_steps(batch, p, lam)
-            leave = np.ones(live, dtype=bool)
+            leave = np.ones(live.size, dtype=bool)
         else:
             if lam == power:
                 mark, power, lam = p, 2 * power, 0
@@ -487,42 +489,36 @@ def _run_observer(
             tr_prev, lam = tr, lam + 1
         if leave.any():
             keep = ~leave
-            stay = int(np.count_nonzero(keep))
-            moved = np.argsort(leave, kind="stable")  # the kept slots first
-            z[:live, : k + 1] = z[moved, : k + 1]
-            order[:live] = order[moved]
             f_tab, k_tab, p_tab = (
                 np.stack(part, axis=1)[leave] for part in zip(*steps)
             )
             period = len(steps)
-            tail = z[stay:live, k:]
-            for row, j, k_sums in zip(tail, order[stay:live], k_tab):
-                np.matmul(u_x[j, k:n_steps], tb_t[j], out=row[1:])
+            gone = live[leave]
+            for j, k_sums in zip(gone, k_tab):
                 for i, k_sum_i in enumerate(k_sums):
-                    row[1 + i :: period] += y[j, k + i : n_steps : period] @ k_sum_i.T
-            propagate_periodic_into(f_tab, tail)
-            p_end[order[stay:live]] = p_tab[:, (n_steps - 1 - k) % period]
-            live = stay
-            if not live:
+                    z[j, k + 1 + i :: period] += y[j, k + i : -1 : period] @ k_sum_i.T
+            p_end[gone] = p_tab[:, (n_steps - 1 - k) % period]
+            cuts = np.flatnonzero(np.diff(gone) > 1) + 1
+            for run, f_run in zip(np.split(gone, cuts), np.split(f_tab, cuts)):
+                propagate_periodic_into(f_run, z[run[0] : run[-1] + 1, k:])
+            live = live[keep]
+            if not live.size:
                 break
             batch, p, tr_prev = batch.take(keep), p[keep], tr_prev[keep]
             f, k_sum = f[keep], k_sum[keep]
             # the batch changed: search again from its P
             mark, power, lam = p, 1, 0
-        batched = order[:live]
-        z[:live, k + 1] = (
-            (f @ z[:live, k, :, None])[..., 0]
-            + tbu[batched, k % _DRIVE_CHUNK]
-            + (k_sum @ y[batched, k, :, None])[..., 0]
-        )
+        z[live, k + 1] = (
+            (f @ z[live, k, :, None])[..., 0] + z[live, k + 1]
+        ) + (k_sum @ y[live, k, :, None])[..., 0]
     else:
-        p_end[order[:live]] = p
-    for s, j in enumerate(order):
-        x_hat = z[s]
+        p_end[live] = p
+    for j, model in enumerate(models):
+        x_hat = z[j]
         x_hat += y[j] @ h[j].T
         x_hat[0] = x0[j]
-        np.subtract(y[j], x_hat @ models[j].c.T, out=residuals[j])
-    return [z[s] for s in np.argsort(order)], p_end
+        np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
+    return z, p_end
 
 
 def _gain_steps(batch: AgentBatch, p: np.ndarray, count: int) -> list[tuple]:
@@ -693,8 +689,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     p_end = _by_agent(groups, p_end)
     for i, model in models.items():
         if config.detector.sigma_source == "warmup":
-            stop = max(k_warm + 1, 2)
-            sigmas[i] = np.std(residuals[i][1:stop], axis=0)
+            sigmas[i] = np.std(residuals[i][1 : k_warm + 1], axis=0)
         else:
             sigmas[i] = np.sqrt(np.diag(model.c @ p_end[i] @ model.c.T + model.r))
 

@@ -604,6 +604,34 @@ def test_seed_override_is_deterministic(tmp_path):
     assert (tmp_path / "c" / "trace.csv").read_bytes() != outs[0]
 
 
+@pytest.mark.parametrize(
+    "where, seeds",
+    [
+        ("seeds.root", {"root": -1}),
+        ("seeds.process", {"process": -1}),
+        ("seeds.measurement[2]", {"measurement": {"2": -1}}),
+        ("seeds.load[3]", {"load": {"3": -1}}),
+    ],
+)
+def test_negative_seed_exits_2_naming_the_field(tmp_path, where, seeds):
+    # numpy would reject the seed only when run_scenario draws from it
+    obj = json.loads(cli.write_config(mini_scenario()))
+    obj["seeds"].update(seeds)
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert f"{where} must be an integer >= 0" in err
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+    code, _, err = run_cli(path, tmp_path / "out", seed_override=-1)
+    assert code == 2
+    assert "seeds.root must be an integer >= 0" in err
+
+
 def test_ts_override_revalidates(tmp_path):
     # the mini scenario has events on the 1e-4 grid; a 3e-4 grid misses them
     path = tmp_path / "mini.json"
@@ -660,12 +688,13 @@ def test_run_threebus_script(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"network": 3}')
-    proc = subprocess.run(
-        [sys.executable, str(script), str(bad), "--out", str(out_dir)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    for args in ([str(bad)], [str(path), "--seed", "-1"]):
+        proc = subprocess.run(
+            [sys.executable, str(script), *args, "--out", str(out_dir)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

@@ -254,26 +254,33 @@ def test_alarm_flags_latch_from_event_time():
 
 
 @pytest.mark.parametrize(
-    "scales, freeze_gains",
+    "ids, scales, freeze_gains, frozen_with",
     [
         # scaled noise figures make the three agents' gains settle at
         # different steps, so agents leave the batch one by one
-        pytest.param((1.0, 30.0, 0.3), True, id="True"),
-        pytest.param((1.0, 30.0, 0.3), False, id="False"),
+        pytest.param((1, 2, 3), (1.0, 30.0, 0.3), True, (0, 1, 2), id="True"),
+        pytest.param((1, 2, 3), (1.0, 30.0, 0.3), False, (0, 0, 0), id="False"),
         # agents 1 and 3 are identical and freeze together, leaving the
-        # batch from slots of z that are not adjacent
-        pytest.param((1.0, 30.0, 1.0), True, id="apart-True"),
+        # batch from rows of z that are not adjacent
+        pytest.param((1, 2, 3), (1.0, 30.0, 1.0), True, (0, 1, 0), id="apart-True"),
+        # rows 0, 1 and 3 freeze on one step, after row 2 has left: one
+        # tail call runs rows 0 and 1, another row 3
+        pytest.param(
+            (1, 2, 3, 1), (1.0, 1.0, 30.0, 1.0), True, (0, 0, 2, 0), id="runs-True"
+        ),
     ],
 )
-def test_batched_observer_matches_per_agent_loop(agent_models, scales, freeze_gains):
+def test_batched_observer_matches_per_agent_loop(
+    agent_models, ids, scales, freeze_gains, frozen_with
+):
     rng = np.random.default_rng(11)
     models = [
         dataclasses.replace(model, q=model.q * scale, r=model.r / scale)
-        for model, scale in zip(agent_models.values(), scales)
+        for model, scale in zip((agent_models[i] for i in ids), scales)
     ]
-    n_steps = 300
-    y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
-    u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
+    g, n_steps = len(models), 300
+    y = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps + 1, 4))
+    u_x = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps, 3))
     res = np.empty_like(y)
     cfg = ScenarioConfig(freeze_gains=freeze_gains)
     x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
@@ -286,12 +293,9 @@ def test_batched_observer_matches_per_agent_loop(agent_models, scales, freeze_ga
         assert np.array_equal(res[j], res_ref)
         assert np.array_equal(p_end[j], p_ref)
         frozen_at.append(k_ref)
-    if not freeze_gains:
-        assert frozen_at == [None] * 3
-    elif scales[0] == scales[2]:
-        assert None not in frozen_at and frozen_at[0] == frozen_at[2] != frozen_at[1]
-    else:
-        assert len(set(frozen_at)) == 3 and None not in frozen_at
+    # frozen_with[j] is the first row whose gains froze on row j's step
+    assert (None in frozen_at) != freeze_gains
+    assert tuple(frozen_at.index(k) for k in frozen_at) == frozen_with
 
 
 @pytest.mark.parametrize(
@@ -537,10 +541,12 @@ def test_validate_wraps_detector_errors():
 
 
 def test_validate_warmup_sigma_needs_window():
-    cfg = small_scenario(warmup=0.0)
-    cfg.detector.sigma_source = "warmup"
-    with pytest.raises(ValidationError, match="positive warmup"):
-        validate_config(cfg)
+    # one warm-up step gives one residual sample, whose std is 0
+    for warmup in (0.0, 1e-4):
+        cfg = small_scenario(warmup=warmup)
+        cfg.detector.sigma_source = "warmup"
+        with pytest.raises(ValidationError, match="positive warmup"):
+            validate_config(cfg)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +610,11 @@ def test_validate_warmup_sigma_needs_window():
             r"load_profiles\[1\]\[0\].level_end must be finite",
         ),
         (lambda c: setattr(c, "seeds", Seeds(root=0, load={9: 1})), "unknown bus"),
+        (lambda c: setattr(c, "seeds", Seeds(root=1.5)), "seeds.root must be an int"),
+        (
+            lambda c: setattr(c, "seeds", Seeds(root=0, load={2: -1})),
+            r"seeds.load\[2\] must be an integer >= 0",
+        ),
     ],
 )
 def test_validate_rejects_bad_fields(mutate, message):
