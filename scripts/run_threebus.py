@@ -26,7 +26,7 @@ from dcmg.cli import (  # noqa: E402
     write_artifacts,
 )
 from dcmg.errors import DcmgError  # noqa: E402
-from dcmg.sim import run_scenario, step_index, validate_config  # noqa: E402
+from dcmg.sim import run_scenario, step_index  # noqa: E402
 
 DEFAULT = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 
@@ -46,10 +46,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        config = load_config(args.scenario)
-        if args.seed is not None:
-            config.seeds.root = args.seed
-            validate_config(config)
+        config = load_config(args.scenario, seed=args.seed)
     except DcmgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -63,7 +60,7 @@ def main() -> int:
     report = write_artifacts(config, trace, wall, args.out)
     print(format_report(report))
 
-    print("agent-1 residual means in sigmas (V1, Ig1, I1_2, I1_3):")
+    print(f"agent-1 residual means in sigmas ({', '.join(trace.models[1].labels)}):")
     res = trace.residuals[1]
     sig = trace.sigmas[1]
     for name, t_lo, t_hi in WINDOWS:

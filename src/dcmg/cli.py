@@ -148,8 +148,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _encode(config)
 
 
-def load_config(path) -> ScenarioConfig:
-    """Read, decode and validate a scenario file."""
+def load_config(
+    path, seed: int | None = None, ts: float | None = None
+) -> ScenarioConfig:
+    """Read and decode a scenario file, replace its root seed and step size
+    where ``seed`` and ``ts`` are given, then validate the result."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -161,6 +164,10 @@ def load_config(path) -> ScenarioConfig:
         # int-string digit limit; RecursionError too deep a nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     config = scenario_from_dict(obj)
+    if seed is not None:
+        config.seeds.root = seed
+    if ts is not None:
+        config.ts = ts
     validate_config(config)
     return config
 
@@ -321,15 +328,7 @@ def run(
     stdout = sys.stdout if stdout is None else stdout
     stderr = sys.stderr if stderr is None else stderr
     try:
-        config = load_config(config_path)
-        if seed_override is not None:
-            config = dataclasses.replace(
-                config, seeds=dataclasses.replace(config.seeds, root=seed_override)
-            )
-        if ts_override is not None:
-            config = dataclasses.replace(config, ts=ts_override)
-        if seed_override is not None or ts_override is not None:
-            validate_config(config)
+        config = load_config(config_path, seed=seed_override, ts=ts_override)
     except DcmgError as exc:
         print(f"error: {exc}", file=stderr)
         return 2
@@ -341,7 +340,7 @@ def run(
         t0 = time.perf_counter()
         trace = run_scenario(config)
         report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
-    except (DcmgError, np.linalg.LinAlgError) as exc:
+    except (DcmgError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     if not quiet:

@@ -73,18 +73,16 @@ def ewma_statistic(
     """EWMA of |r|/sigma along axis 0, starting from zero state.
 
     Each column is its own scalar system s_{k+1} = (1 - alpha) s_k +
-    alpha v_k, propagated as one (m, 1, 1) batch.
+    alpha v_k; one in-place scan of the (N, m) block runs them all.
     """
     residuals = np.asarray(residuals, dtype=float)
-    n_steps, m = residuals.shape
-    s = np.empty((m, n_steps + 1, 1))
-    s[:, 0] = 0.0
-    drive = s[:, 1:, 0]
-    np.abs(residuals.T, out=drive)
-    drive /= np.maximum(sigmas, SIGMA_FLOOR)[:, None]
+    s = np.zeros((residuals.shape[0] + 1, residuals.shape[1]))
+    drive = s[1:]
+    np.abs(residuals, out=drive)
+    drive /= np.maximum(sigmas, SIGMA_FLOOR)
     drive *= alpha
-    propagate_into(np.full((m, 1, 1), 1.0 - alpha), s)
-    return drive.T
+    propagate_into(np.full((1, 1), 1.0 - alpha), s)
+    return drive
 
 
 def monitor(

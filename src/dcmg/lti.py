@@ -137,8 +137,9 @@ def propagate(a: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
 
 def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
     """:func:`propagate` in place: ``out`` (..., K + 1, n) holds x_0 in row
-    0 and drive_k in row k + 1 on entry, and x_0..x_K on return.  Shapes
-    are the caller's to check."""
+    0 and drive_k in row k + 1 on entry, and x_0..x_K on return.  A 1x1
+    ``a`` scales every column of ``out``, so n scalar systems that share
+    it run as one call.  Shapes are the caller's to check."""
     n_steps = out.shape[-2] - 1
     # a batch of scalar systems multiplies by broadcasting, several times
     # faster than numpy's stacked matmul over 1x1 matrices

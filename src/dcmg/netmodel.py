@@ -226,10 +226,6 @@ class AgentModelContinuous:
     def n_i(self) -> int:
         return self.a_ci.shape[0]
 
-    @property
-    def m_i(self) -> int:
-        return self.c_ci.shape[0]
-
 
 def build_global(spec: NetworkSpec) -> GlobalModel:
     """Assemble the full-network continuous-time model.

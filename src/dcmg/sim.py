@@ -381,13 +381,9 @@ def _load_series(
 def _source_series(
     steps: list[SourceStep], nominal: float, n_steps: int, ts: float
 ) -> np.ndarray:
-    if not steps:
-        return np.full(n_steps, nominal)
-    out = np.empty(n_steps)
-    bounds = [step_index(st.t_start, ts) for st in steps] + [n_steps]
-    for st, k0, k1 in zip(steps, bounds[:-1], bounds[1:]):
-        out[k0:k1] = st.volts
-    return out
+    steps = steps or [SourceStep(0.0, nominal)]
+    segments = [LoadSegment(st.t_start, level=st.volts) for st in steps]
+    return _load_series(segments, n_steps, ts, None)
 
 
 def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:

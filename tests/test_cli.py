@@ -286,6 +286,10 @@ def test_nan_ts_exits_2_naming_the_field(tmp_path):
         ),
         ("scenario.noise.r_line", ("noise", "r_line"), float("inf")),
         ("scenario.detector.kappa", ("detector", "kappa"), float("nan")),
+        # an integer literal too large for a float
+        pytest.param(
+            "scenario.horizon", ("horizon",), 10**400, id="scenario.horizon-10**400"
+        ),
     ],
 )
 def test_non_finite_number_exits_2_naming_the_field(tmp_path, where, keys, value):
@@ -299,6 +303,16 @@ def test_non_finite_number_exits_2_naming_the_field(tmp_path, where, keys, value
     code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
     assert code == 2
     assert f"{where} must be finite" in err
+
+
+def test_missing_network_exits_2(tmp_path):
+    obj = json.loads(cli.write_config(mini_scenario()))
+    del obj["network"]
+    path = tmp_path / "no_network.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err == "error: scenario.network is required\n"
 
 
 _BUNDLED = json.loads(SCENARIO.read_text())
@@ -411,6 +425,17 @@ def test_linear_algebra_failure_exits_1(tmp_path, monkeypatch):
     code, _, err = run_cli(path, tmp_path / "out")
     assert code == 1
     assert err == "error: Singular matrix\n"
+
+
+def test_unwritable_output_exits_1(tmp_path):
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(path, blocker / "out")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -632,6 +657,17 @@ def test_negative_seed_override_exits_2(tmp_path):
     assert "seeds.root must be an integer >= 0" in err
 
 
+def test_seed_override_replaces_a_bad_root_seed(tmp_path):
+    # the override is applied before validation, so only the seed that
+    # runs is checked
+    obj = json.loads(cli.write_config(mini_scenario()))
+    obj["seeds"]["root"] = -1
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True, seed_override=5)
+    assert code == 0, err
+
+
 def test_ts_override_revalidates(tmp_path):
     # the mini scenario has events on the 1e-4 grid; a 3e-4 grid misses them
     path = tmp_path / "mini.json"
@@ -685,6 +721,19 @@ def test_run_threebus_script(tmp_path):
     for name in ("trace.csv", "events.csv", "report.txt"):
         assert (out_dir / name).exists()
     assert f"digest   {cli.config_digest(mini_scenario())}" in proc.stdout
+    assert "sigmas (V1, Ig1, I1_2, I1_3):" in proc.stdout
+
+    # on a 1-2-3 path, bus 1 has one line and agent 1 three channels
+    path_network = tmp_path / "gnarly.json"
+    cli.write_config(gnarly_scenario(), path_network)
+    proc = subprocess.run(
+        [sys.executable, str(script), str(path_network), "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sigmas (V1, Ig1, I1_2):" in proc.stdout
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"network": 3}')

@@ -249,6 +249,25 @@ def test_alarm_flags_latch_from_event_time():
     assert not trace.alarm_flags[3].any()
 
 
+def test_warmup_sigmas_detect_and_attribute():
+    for attacked in (True, False):
+        cfg = attack_scenario()
+        cfg.detector.sigma_source = "warmup"
+        if not attacked:
+            cfg.attacks = []
+        trace = run_scenario(cfg)
+        k_warm = step_index(cfg.warmup, cfg.ts)
+        for i in (1, 2, 3):
+            expected = np.std(trace.residuals[i][1 : k_warm + 1], axis=0)
+            assert np.array_equal(trace.sigmas[i], expected)
+        if attacked:
+            assert any(ev.accused_neighbor == 3 for ev in trace.alarms)
+            assert all(ev.agent == 1 for ev in trace.alarms)
+            assert all(ev.accused_neighbor in (3, None) for ev in trace.alarms)
+        else:
+            assert trace.alarms == []
+
+
 # ---------------------------------------------------------------------------
 # batched observer engine against the per-agent loop
 
@@ -464,6 +483,38 @@ def test_measurement_override_isolates_one_agent():
     assert np.array_equal(a.y[1], b.y[1])
     assert np.array_equal(a.y[3], b.y[3])
     assert not np.array_equal(a.y[2], b.y[2])
+
+
+def test_process_override_leaves_measurement_noise():
+    a = run_scenario(small_scenario())
+    b = run_scenario(small_scenario(seeds=Seeds(root=7, process=5)))
+    assert not np.array_equal(a.x_true, b.x_true)
+    for i in (1, 2, 3):
+        # y - x_local is the measurement draw rounded at the magnitude of
+        # x_local, which the process draws move; another draw differs by ~sigma
+        noise_a = a.y[i] - a.x_local[i]
+        noise_b = b.y[i] - b.x_local[i]
+        assert np.abs(noise_a - noise_b).max() < 1e-9
+
+
+def test_load_override_reaches_only_random_walk_profiles():
+    def scenario(**seeds):
+        cfg = small_scenario(seeds=Seeds(root=7, **seeds))
+        cfg.load_profiles[3] = [
+            LoadSegment(t_start=0.0, kind="random_walk", level=1000.0, walk_std=5.0)
+        ]
+        return cfg
+
+    base = run_scenario(scenario())
+    walk = run_scenario(scenario(load={3: 11}))
+    constant = run_scenario(scenario(load={1: 11}))
+    assert not np.array_equal(base.x_true, walk.x_true)
+    assert np.array_equal(base.x_true, constant.x_true)
+    for i in (1, 2, 3):
+        assert np.array_equal(base.x_local[i], constant.x_local[i])
+        assert np.array_equal(base.y[i], constant.y[i])
+        assert np.array_equal(base.residuals[i], constant.residuals[i])
+    assert base.alarms == constant.alarms
 
 
 # ---------------------------------------------------------------------------
