@@ -5,9 +5,10 @@ Usage:
     python3 scripts/run_threebus.py [scenario.json] [--out DIR] [--seed N]
 
 Writes trace.csv / events.csv / report.txt into the output directory and
-prints windowed residual statistics around the two bias injections and
-the load step, which is the quickest way to eyeball the separation
-between "attack" and "disturbance" without plotting anything.
+prints agent 1's residual means over windows between the scenario's
+events (attack starts and ends, load and source steps), which is the
+quickest way to eyeball the separation between "attack" and
+"disturbance" without plotting anything.
 """
 
 import argparse
@@ -30,12 +31,26 @@ from dcmg.sim import run_scenario, step_index  # noqa: E402
 
 DEFAULT = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 
-WINDOWS = [
-    ("pre-attack", 3.0, 4.0),
-    ("bias 150 V on V3->1", 4.5, 6.0),
-    ("both biases", 6.5, 8.0),
-    ("after load step", 9.0, 10.0),
-]
+
+def windows(config):
+    """(label, k_lo, k_hi) for the second half of each span between
+    consecutive scenario events (attack starts and ends, load-profile and
+    source-schedule segment starts, 0 and the horizon) on the step grid,
+    labelled with the attacks active in it."""
+    n_steps = step_index(config.horizon, config.ts)
+    starts = [*config.load_profiles.values(), *config.source_schedule.values()]
+    times = [seg.t_start for segments in starts for seg in segments]
+    times += [t for atk in config.attacks for t in (atk.start, atk.end)]
+    steps = {min(step_index(t, config.ts), n_steps) for t in times}
+    edges = sorted(steps | {0, n_steps})
+    for k_a, k_b in zip(edges, edges[1:]):
+        k_lo = (k_a + k_b) // 2
+        active = [
+            f"bias {atk.bias:g} V on V{atk.source}->{atk.victim}"
+            for atk in config.attacks
+            if step_index(atk.start, config.ts) <= k_lo < step_index(atk.end, config.ts)
+        ]
+        yield " + ".join(active) or "no attack", k_lo, k_b
 
 
 def main() -> int:
@@ -63,13 +78,11 @@ def main() -> int:
     print(f"agent-1 residual means in sigmas ({', '.join(trace.models[1].labels)}):")
     res = trace.residuals[1]
     sig = trace.sigmas[1]
-    for name, t_lo, t_hi in WINDOWS:
-        if t_hi > config.horizon:
-            continue
-        k_lo, k_hi = step_index(t_lo, config.ts), step_index(t_hi, config.ts)
+    for name, k_lo, k_hi in windows(config):
         mean_sigma = np.abs(res[k_lo:k_hi].mean(axis=0)) / sig
         cells = "  ".join(f"{v:7.2f}" for v in mean_sigma)
-        print(f"  [{t_lo:4.1f}, {t_hi:4.1f}) s  {name:<22s} {cells}")
+        t_lo, t_hi = trace.times[k_lo], trace.times[k_hi]
+        print(f"  [{t_lo:7.4g}, {t_hi:7.4g}) s  {name:<42s} {cells}")
     print(f"artifacts in {args.out}/")
     return 0
 

@@ -1,10 +1,16 @@
 """Residual monitoring: EWMA of the normalized residual magnitude with
 persistence latching, attributing alarms on line-current channels to the
-neighbour whose reported voltage feeds that line."""
+neighbour whose reported voltage feeds that line.
+
+``monitor`` takes the residual channels of any number of agents side by
+side and scans them in one pass: one EWMA call over the whole block, then
+one vectorised run-length pass over the channels that ever reach kappa.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,16 +95,21 @@ def monitor(
     residuals: np.ndarray,
     times: np.ndarray,
     sigmas: np.ndarray,
-    model: AgentModel,
+    models: Sequence[AgentModel],
     config: DetectorConfig,
 ) -> list[DetectionEvent]:
-    """Scan one agent's residual stream and report per-component latches.
+    """Scan the residual streams of the agents in ``models`` and report
+    per-component latches.
 
-    ``residuals`` is (N, m) with warm-up already excluded upstream and
-    ``times`` the matching absolute timestamps.  Each component produces
-    at most one event, stamped at the step where the persistence run
-    completes.  Components beyond [V, Ig] map one-to-one onto couplings,
-    so line-current alarms directly accuse the corresponding neighbour.
+    ``residuals`` is (N, M): the components of every agent of ``models``
+    side by side, in that order, so M is their total label count.  Warm-up
+    is already excluded upstream, ``times`` holds the matching absolute
+    timestamps and ``sigmas`` is (M,).  Each component produces at most
+    one event, stamped at the step that completes its first run of
+    ``persistence`` samples with s >= kappa.  Components beyond [V, Ig]
+    map one-to-one onto couplings, so line-current alarms directly accuse
+    the corresponding neighbour.  Events come sorted by (time, agent,
+    component).
     """
     config.validate()
     residuals = np.asarray(residuals, dtype=float)
@@ -106,13 +117,12 @@ def monitor(
         residuals = residuals[:, None]
     times = np.asarray(times, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    m = len(model.labels)
-    if residuals.shape[0] == 0:
-        return []
+    channels = [(model, c) for model in models for c in range(len(model.labels))]
+    m = len(channels)
     if residuals.shape[1] != m:
         raise UnknownComponent(
             f"residual stream has {residuals.shape[1]} components, "
-            f"model has {m} labels"
+            f"models have {m} labels"
         )
     if sigmas.shape != (m,):
         raise UnknownComponent(f"sigmas must have shape ({m},), got {sigmas.shape}")
@@ -120,38 +130,28 @@ def monitor(
         raise UnknownComponent(
             f"times must have shape ({residuals.shape[0]},), got {times.shape}"
         )
+    if residuals.shape[0] == 0:
+        return []
 
     s = ewma_statistic(residuals, sigmas, config.ewma_alpha)
-    return _latch_events(s, times, model, config)
-
-
-def _latch_events(
-    s: np.ndarray, times: np.ndarray, model: AgentModel, config: DetectorConfig
-) -> list[DetectionEvent]:
-    """Events of one agent from its (N, m) EWMA statistic: each component
-    latches at the step that completes its first run of ``persistence``
-    samples with ``s >= kappa``."""
     above = s >= config.kappa
-    idx = np.arange(above.shape[0])
+    cols = np.flatnonzero(above.any(axis=0))
+    step = np.arange(len(s))[:, None]
+    # a run's length is the distance back to its last sample below kappa
+    run = step - np.maximum.accumulate(np.where(above[:, cols], -1, step), axis=0)
+    latched = run >= config.persistence
+    hit = latched.any(axis=0)
     events: list[DetectionEvent] = []
-    for c in range(s.shape[1]):
-        col = above[:, c]
-        if not col.any():
-            continue
-        last_false = np.maximum.accumulate(np.where(~col, idx, -1))
-        run_length = idx - last_false
-        hits = np.nonzero(run_length >= config.persistence)[0]
-        if hits.size == 0:
-            continue
-        k = int(hits[0])
+    for col, k in zip(cols[hit], latched[:, hit].argmax(axis=0)):
+        model, c = channels[col]
         events.append(
             DetectionEvent(
                 agent=model.agent_id,
                 accused_neighbor=_neighbor_for(model, c),
                 component=model.labels[c],
                 time=float(times[k]),
-                statistic=float(s[k, c]),
+                statistic=float(s[k, col]),
             )
         )
-    events.sort(key=lambda ev: (ev.time, ev.component))
+    events.sort(key=lambda ev: (ev.time, ev.agent, ev.component))
     return events

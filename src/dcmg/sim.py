@@ -54,15 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``monitor`` is unused here but stays a name of this module:
-# bench/tracing.py times the detector by wrapping ``dcmg.sim.monitor``
-from .detect import (  # noqa: F401
-    DetectionEvent,
-    DetectorConfig,
-    _latch_events,
-    ewma_statistic,
-    monitor,
-)
+from .detect import DetectionEvent, DetectorConfig, monitor
 from .errors import (
     InvalidTopology,
     NegativeVariance,
@@ -663,8 +655,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
     sigmas: dict[int, np.ndarray] = {}
     k_warm = step_index(config.warmup, config.ts, "warmup")
-    # every agent's residual channels side by side, so that one EWMA call
-    # covers them all without copying
+    # every agent's residual channels side by side, so that one monitor
+    # call scans them all without copying
     bounds = np.cumsum([0] + [len(model.labels) for model in models.values()])
     residual_block = np.empty((n_steps + 1, bounds[-1]))
     residuals = {
@@ -689,23 +681,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         else:
             sigmas[i] = np.sqrt(np.diag(model.c @ p_end[i] @ model.c.T + model.r))
 
-    stat = ewma_statistic(
+    alarms = monitor(
         residual_block[k_warm:],
+        times[k_warm:],
         np.concatenate(list(sigmas.values())),
-        config.detector.ewma_alpha,
+        list(models.values()),
+        config.detector,
     )
-    alarms: list[DetectionEvent] = []
-    alarm_flags: dict[int, np.ndarray] = {}
-    for (i, model), start, end in zip(models.items(), bounds[:-1], bounds[1:]):
-        events = _latch_events(
-            stat[:, start:end], times[k_warm:], model, config.detector
-        )
-        alarms.extend(events)
-        flags = np.zeros(n_steps + 1, dtype=np.int8)
-        for ev in events:
-            flags[step_index(ev.time, config.ts) :] = 1
-        alarm_flags[i] = flags
-    alarms.sort(key=lambda ev: (ev.time, ev.agent, ev.component))
+    alarm_flags = {i: np.zeros(n_steps + 1, dtype=np.int8) for i in models}
+    for ev in alarms:
+        alarm_flags[ev.agent][step_index(ev.time, config.ts) :] = 1
 
     return SimulationTrace(
         times=times,

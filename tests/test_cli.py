@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -722,6 +723,7 @@ def test_run_threebus_script(tmp_path):
         assert (out_dir / name).exists()
     assert f"digest   {cli.config_digest(mini_scenario())}" in proc.stdout
     assert "sigmas (V1, Ig1, I1_2, I1_3):" in proc.stdout
+    assert re.search(r"^  \[.*\) s  bias 150 V on V3->1 ", proc.stdout, re.M)
 
     # on a 1-2-3 path, bus 1 has one line and agent 1 three channels
     path_network = tmp_path / "gnarly.json"
@@ -734,6 +736,7 @@ def test_run_threebus_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "sigmas (V1, Ig1, I1_2):" in proc.stdout
+    assert re.search(r"^  \[.*\) s  no attack ", proc.stdout, re.M)
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"network": 3}')

@@ -52,7 +52,7 @@ def test_latch_fires_inside_persistence_window(agent_models):
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
     k0 = 50
     r = jump_stream(k0=k0)
-    events = monitor(r, times_for(len(r)), np.ones(4), model, cfg)
+    events = monitor(r, times_for(len(r)), np.ones(4), [model], cfg)
     assert len(events) == 1
     ev = events[0]
     # alpha 0.5 on a 10-sigma jump crosses kappa on the very first biased
@@ -69,7 +69,7 @@ def test_one_event_per_component(agent_models):
     model = agent_models[1]
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
     r = jump_stream(n=2_000)
-    events = monitor(r, times_for(len(r)), np.ones(4), model, cfg)
+    events = monitor(r, times_for(len(r)), np.ones(4), [model], cfg)
     assert len(events) == 1
 
 
@@ -77,7 +77,7 @@ def test_events_sorted_and_attributed(agent_models):
     model = agent_models[1]
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
     r = jump_stream(k0=120, column=2) + jump_stream(k0=40, column=3)
-    events = monitor(r, times_for(len(r)), np.ones(4), model, cfg)
+    events = monitor(r, times_for(len(r)), np.ones(4), [model], cfg)
     assert [ev.component for ev in events] == ["I1_3", "I1_2"]
     assert [ev.accused_neighbor for ev in events] == [3, 2]
     assert events[0].time < events[1].time
@@ -87,7 +87,7 @@ def test_bus_channels_accuse_nobody(agent_models):
     model = agent_models[1]
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
     events = monitor(
-        jump_stream(column=0), times_for(200), np.ones(4), model, cfg
+        jump_stream(column=0), times_for(200), np.ones(4), [model], cfg
     )
     assert len(events) == 1
     assert events[0].component == "V1"
@@ -99,7 +99,7 @@ def test_no_alarm_under_null(agent_models):
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.05, persistence=10)
     sigmas = np.array([10.0, 10.0, 3.2, 3.2])
     r = np.random.default_rng(99).standard_normal((100_000, 4)) * sigmas
-    events = monitor(r, times_for(len(r)), sigmas, model, cfg)
+    events = monitor(r, times_for(len(r)), sigmas, [model], cfg)
     assert events == []
 
 
@@ -110,7 +110,7 @@ def test_threshold_and_persistence_monotonicity(agent_models):
 
     def first_time(kappa, persistence):
         events = monitor(
-            r, t, np.ones(4), model,
+            r, t, np.ones(4), [model],
             DetectorConfig(kappa=kappa, ewma_alpha=0.5, persistence=persistence),
         )
         assert len(events) == 1
@@ -124,13 +124,34 @@ def test_subthreshold_stream_is_silent(agent_models):
     model = agent_models[1]
     cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
     r = jump_stream(height=4.0)  # EWMA can never exceed 4 < kappa
-    assert monitor(r, times_for(len(r)), np.ones(4), model, cfg) == []
+    assert monitor(r, times_for(len(r)), np.ones(4), [model], cfg) == []
+
+
+def test_agent_block_merges_single_agent_events(agent_models):
+    m1, m2 = agent_models[1], agent_models[2]
+    cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.5, persistence=10)
+    r1 = jump_stream(k0=50, column=0) + jump_stream(k0=120, column=3)
+    # agent 2's I2_1 latches on the same step as agent 1's V1
+    r2 = jump_stream(k0=50, column=2)
+    t = times_for(len(r1))
+    events = monitor(np.hstack([r1, r2]), t, np.ones(8), [m1, m2], cfg)
+    single = monitor(r1, t, np.ones(4), [m1], cfg) + monitor(
+        r2, t, np.ones(4), [m2], cfg
+    )
+    assert events == sorted(single, key=lambda ev: (ev.time, ev.agent, ev.component))
+    # agent order, not the label, decides between the two latches on one step
+    assert [(ev.agent, ev.component, ev.accused_neighbor) for ev in events] == [
+        (1, "V1", None),
+        (2, "I2_1", 1),
+        (1, "I1_3", 3),
+    ]
+    assert events[0].time == events[1].time < events[2].time
 
 
 def test_empty_stream(agent_models):
     model = agent_models[1]
     events = monitor(
-        np.empty((0, 4)), np.empty(0), np.ones(4), model, DetectorConfig()
+        np.empty((0, 4)), np.empty(0), np.ones(4), [model], DetectorConfig()
     )
     assert events == []
 
@@ -143,11 +164,13 @@ def test_monitor_rejects_wrong_widths(agent_models):
     model = agent_models[1]
     cfg = DetectorConfig()
     with pytest.raises(UnknownComponent, match="components"):
-        monitor(np.zeros((10, 3)), times_for(10), np.ones(3), model, cfg)
+        monitor(np.zeros((10, 3)), times_for(10), np.ones(3), [model], cfg)
+    with pytest.raises(UnknownComponent, match="components"):
+        monitor(np.empty((0, 3)), np.empty(0), np.ones(3), [model], cfg)
     with pytest.raises(UnknownComponent, match="sigmas"):
-        monitor(np.zeros((10, 4)), times_for(10), np.ones(5), model, cfg)
+        monitor(np.zeros((10, 4)), times_for(10), np.ones(5), [model], cfg)
     with pytest.raises(UnknownComponent, match="times"):
-        monitor(np.zeros((10, 4)), times_for(9), np.ones(4), model, cfg)
+        monitor(np.zeros((10, 4)), times_for(9), np.ones(4), [model], cfg)
 
 
 @pytest.mark.parametrize(
