@@ -36,7 +36,8 @@ def windows(config):
     """(label, k_lo, k_hi) for the second half of each span between
     consecutive scenario events (attack starts and ends, load-profile and
     source-schedule segment starts, 0 and the horizon) on the step grid,
-    labelled with the attacks active in it."""
+    labelled with the attacks on agent 1 active in it, whose residuals
+    the table shows."""
     n_steps = step_index(config.horizon, config.ts)
     starts = [*config.load_profiles.values(), *config.source_schedule.values()]
     times = [seg.t_start for segments in starts for seg in segments]
@@ -48,6 +49,7 @@ def windows(config):
         active = [
             f"bias {atk.bias:g} V on V{atk.source}->{atk.victim}"
             for atk in config.attacks
+            if atk.victim == 1
             if step_index(atk.start, config.ts) <= k_lo < step_index(atk.end, config.ts)
         ]
         yield " + ".join(active) or "no attack", k_lo, k_b

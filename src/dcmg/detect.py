@@ -138,7 +138,9 @@ def monitor(
     cols = np.flatnonzero(above.any(axis=0))
     step = np.arange(len(s))[:, None]
     # a run's length is the distance back to its last sample below kappa
-    run = step - np.maximum.accumulate(np.where(above[:, cols], -1, step), axis=0)
+    run = np.where(above[:, cols], -1, step)
+    np.maximum.accumulate(run, axis=0, out=run)
+    np.subtract(step, run, out=run)
     latched = run >= config.persistence
     hit = latched.any(axis=0)
     events: list[DetectionEvent] = []

@@ -32,12 +32,13 @@ then the attack biases are added in place for the observers and
 agent's gains still vary, every step makes one batched ``uio.gain_step``
 for those agents and advances their z-recursions together.  Agents whose
 gains have frozen leave the batch.  The gain recursion is a pure
-function of P, and in float64 it soon repeats itself bit for bit; once
-the batch's P repeats, the whole batch leaves with the period's gains,
-stepped once more, and no further ``gain_step`` is made.  Either way the
-rest of a leaving agent's horizon is a periodic linear recursion in z
-(period 1 for frozen gains), and the agents of adjacent rows of z that
-leave on one step run it together as one lifted scan,
+function of P, and in float64 it soon repeats itself bit for bit; on the
+step the batch's P first equals an earlier one, found by the hash of its
+bytes, the whole batch leaves with the period's gains, stepped once
+more, and no further ``gain_step`` is made.  Either way the rest of a
+leaving agent's horizon is a periodic linear recursion in z (period 1
+for frozen gains), and the agents of adjacent rows of z that leave on
+one step run it together as one lifted scan,
 ``lti.propagate_periodic_into``.  The plant and the metered layer step
 their linear recursions with ``lti.propagate``.  A plant state that
 overflows raises ``NonFinite``.
@@ -419,20 +420,22 @@ def _run_observer(
     leave the batch in two ways, and the rest of their horizon is then a
     periodic linear recursion in z, run by ``lti.propagate_periodic_into``:
 
-    - an agent's gains freeze once its covariance trace stops moving
-      (|delta| < freeze_tol * max(1, |trace|)): period 1, that step's
-      gains;
+    - with ``freeze_gains``, an agent's gains freeze once its covariance
+      trace stops moving (``_frozen``): period 1, that step's gains;
     - P' depends on P alone, so once the batch's stacked P equals an
-      earlier one bit for bit, every later step repeats the steps between
-      the two.  Brent's cycle search (Brent 1980, BIT 20) finds such a
-      repeat with one checkpoint P, moved on to the current P after 1, 2,
-      4, ... steps and reset when agents leave the batch.  On a hit the
-      period's (F, K1 + K2, P') are stepped once more from the checkpoint
-      and the whole batch leaves with them: every trace pair of the cycle
-      has passed the freeze rule already, so no agent would freeze later.
+      earlier one byte for byte, every later step repeats the steps
+      between the two.  A dict maps the hash of the bytes of each P since
+      the batch last changed to its step, so the first repeat, of step mu
+      on step mu + lambda, is seen as it happens (Knuth, TAOCP Vol. 2,
+      3.1 ex. 6-7).  The lambda steps are then made again from the
+      current P; if they lead back to it byte for byte, the whole batch
+      leaves with them, after mu + 2 lambda gain steps in all.  Else (a
+      hash collision) the key moves on to this step.  Every trace pair of
+      the cycle has passed the freeze rule already, so no agent would
+      freeze later.
 
     A tail adds the (K1 + K2)_(k mod L) y_k terms to its rows, and the
-    leaving agents of adjacent rows run as one call.  A period-1 tail
+    leaving agents of adjacent rows run it together.  A period-1 tail
     gives the same bits as stepping; a longer period reorders the
     products, and differs from stepping by rounding.
     """
@@ -453,52 +456,48 @@ def _run_observer(
         np.matmul(u_x[j, :n_steps], tb_t[j], out=z[j, 1:])
     p = np.tile(np.eye(n), (g, 1, 1))
     p_end = np.empty_like(p)
-    tr_prev = p.trace(axis1=1, axis2=2)
-    live = np.arange(g)  # the agents still in the batch
-    # Brent's search for an exact repeat of the batch's P: ``mark`` is the
-    # checkpoint, ``lam`` the steps taken since it was set and ``power`` the
-    # steps after which it moves on to the current P
-    mark, power, lam = p, 1, 0
+    live, rows = np.arange(g), slice(None)  # the agents still in the batch
+    seen: dict[int, int] = {}  # the step of each P since the batch changed
     for k in range(n_steps):
-        if lam and np.array_equal(p, mark):
-            # every step from here on repeats the last lam steps, and none
-            # of them froze an agent: the whole batch leaves
-            steps = _gain_steps(batch, p, lam)
+        data = p.tobytes()
+        first = seen.setdefault(hash(data), k)
+        steps = _gain_steps(batch, p, max(k - first, 1))
+        if first < k and steps[-1][2].tobytes() == data:
+            # every step from here on repeats the last k - first steps, and
+            # none of them froze an agent: the whole batch leaves
             leave = np.ones(live.size, dtype=bool)
         else:
-            if lam == power:
-                mark, power, lam = p, 2 * power, 0
-            steps = _gain_steps(batch, p, 1)
-            [(f, k_sum, p)] = steps
-            tr = p.trace(axis1=1, axis2=2)
-            leave = config.freeze_gains & (
-                np.abs(tr - tr_prev) < config.freeze_tol * np.maximum(1.0, np.abs(tr))
-            )
-            tr_prev, lam = tr, lam + 1
-        if leave.any():
+            # a new P, or one whose hash collides with an earlier P's
+            seen[hash(data)] = k
+            (f, k_sum, p_next), steps = steps[0], steps[:1]
+            leave, p = _frozen(p, p_next, config), p_next
+        if leave is not None:
             keep = ~leave
             f_tab, k_tab, p_tab = (
                 np.stack(part, axis=1)[leave] for part in zip(*steps)
             )
             period = len(steps)
             gone = live[leave]
-            for j, k_sums in zip(gone, k_tab):
-                for i, k_sum_i in enumerate(k_sums):
-                    z[j, k + 1 + i :: period] += y[j, k + i : -1 : period] @ k_sum_i.T
             p_end[gone] = p_tab[:, (n_steps - 1 - k) % period]
             cuts = np.flatnonzero(np.diff(gone) > 1) + 1
-            for run, f_run in zip(np.split(gone, cuts), np.split(f_tab, cuts)):
-                propagate_periodic_into(f_run, z[run[0] : run[-1] + 1, k:])
-            live = live[keep]
+            tabs = (np.split(part, cuts) for part in (gone, f_tab, k_tab))
+            for run, f_run, k_run in zip(*tabs):
+                rs = slice(run[0], run[-1] + 1)
+                z_run, y_run = z[rs, k:], y[rs, k:-1]
+                # one product per agent and phase: one per phase for the
+                # whole run would need a temporary as large as its rows of z
+                for zj, yj, kj in zip(z_run, y_run, k_run):
+                    for i in range(period):
+                        zj[1 + i :: period] += yj[i::period] @ kj[i].T
+                propagate_periodic_into(f_run, z_run)
+            live = rows = live[keep]
             if not live.size:
                 break
-            batch, p, tr_prev = batch.take(keep), p[keep], tr_prev[keep]
-            f, k_sum = f[keep], k_sum[keep]
-            # the batch changed: search again from its P
-            mark, power, lam = p, 1, 0
-        z[live, k + 1] = (
-            (f @ z[live, k, :, None])[..., 0] + z[live, k + 1]
-        ) + (k_sum @ y[live, k, :, None])[..., 0]
+            batch, p, f, k_sum = batch.take(keep), p[keep], f[keep], k_sum[keep]
+            seen.clear()  # the batch changed: search again from its P
+        z[rows, k + 1] = (
+            (f @ z[rows, k, :, None])[..., 0] + z[rows, k + 1]
+        ) + (k_sum @ y[rows, k, :, None])[..., 0]
     else:
         p_end[live] = p
     for j, model in enumerate(models):
@@ -507,6 +506,20 @@ def _run_observer(
         x_hat[0] = x0[j]
         np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
     return z, p_end
+
+
+def _frozen(
+    p: np.ndarray, p_next: np.ndarray, config: ScenarioConfig
+) -> np.ndarray | None:
+    """Mask of the agents whose gains freeze on the step from ``p`` to
+    ``p_next``: with ``freeze_gains``, those whose covariance trace moved
+    by less than freeze_tol * max(1, |trace|).  None if no agent froze."""
+    if not config.freeze_gains:
+        return None
+    tr = p_next.trace(axis1=1, axis2=2)
+    moved = np.abs(tr - p.trace(axis1=1, axis2=2))
+    frozen = moved < config.freeze_tol * np.maximum(1.0, np.abs(tr))
+    return frozen if frozen.any() else None
 
 
 def _gain_steps(batch: AgentBatch, p: np.ndarray, count: int) -> list[tuple]:

@@ -89,18 +89,36 @@ def predictor_step(a, c, q, r, p):
     return k, f, (p_next + p_next.T) / 2.0
 
 
+def observer_gain_step(model, p):
+    """(F, K1 + K2, P') of one gain update of ``model`` from ``p``,
+    written out per agent: K1 by a solve on C P C^T + R, and
+    P' = F P F^T + K1 R K1^T - H R H^T + T Q T^T symmetrized and
+    eigenvalue-clipped."""
+    h, t = model.structural
+    ta = t @ model.a
+    s = model.c @ p @ model.c.T + model.r
+    k1 = np.linalg.solve(s, (ta @ p @ model.c.T).T).T
+    f = ta - k1 @ model.c
+    k2 = f @ h
+    p = f @ p @ f.T + k1 @ model.r @ k1.T - h @ model.r @ h.T + t @ model.q @ t.T
+    p = (p + p.T) / 2.0
+    w, v = np.linalg.eigh(p)
+    if w[0] < 0.0:
+        p = (v * np.clip(w, 0.0, None)) @ v.T
+        p = (p + p.T) / 2.0
+    return f, k1 + k2, p
+
+
 def observer_loop(model, y, u_x, freeze_gains, freeze_tol, propagate):
     """(x_hat, residuals, final P, freeze step or None) of one agent's
     observer, stepped on its own as the simulator did before its agents
     were batched.
 
-    The gain update is written out per agent: K1 by a solve on
-    C P C^T + R, P' = F P F^T + K1 R K1^T - H R H^T + T Q T^T symmetrized
-    and eigenvalue-clipped.  The gains freeze once |delta trace P| <
-    freeze_tol * max(1, |trace P|), after which the rest of the
-    z-recursion runs as one call of ``propagate(a, x0, drive)``, the
-    state propagation the simulator uses (passed in, so that nothing is
-    imported from the package).
+    The gain update is :func:`observer_gain_step`.  The gains freeze
+    once |delta trace P| < freeze_tol * max(1, |trace P|), after which the
+    rest of the z-recursion runs as one call of ``propagate(a, x0,
+    drive)``, the state propagation the simulator uses (passed in, so
+    that nothing is imported from the package).
     """
     h, t = model.structural
     n, n_steps = model.n, u_x.shape[0]
@@ -112,24 +130,8 @@ def observer_loop(model, y, u_x, freeze_gains, freeze_tol, propagate):
     tr_prev = np.trace(p)
     frozen_at = None
     for k in range(n_steps):
-        ta = t @ model.a
-        s = model.c @ p @ model.c.T + model.r
-        k1 = np.linalg.solve(s, (ta @ p @ model.c.T).T).T
-        f = ta - k1 @ model.c
-        k2 = f @ h
-        p = (
-            f @ p @ f.T
-            + k1 @ model.r @ k1.T
-            - h @ model.r @ h.T
-            + t @ model.q @ t.T
-        )
-        p = (p + p.T) / 2.0
-        w, v = np.linalg.eigh(p)
-        if w[0] < 0.0:
-            p = (v * np.clip(w, 0.0, None)) @ v.T
-            p = (p + p.T) / 2.0
+        f, k_sum, p = observer_gain_step(model, p)
         tr = np.trace(p)
-        k_sum = k1 + k2
         if freeze_gains and abs(tr - tr_prev) < freeze_tol * max(1.0, abs(tr)):
             z[k:] = propagate(f, z[k], tbu[k:] + y[k:n_steps] @ k_sum.T)
             frozen_at = k

@@ -737,6 +737,8 @@ def test_run_threebus_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "sigmas (V1, Ig1, I1_2):" in proc.stdout
     assert re.search(r"^  \[.*\) s  no attack ", proc.stdout, re.M)
+    # its only attack falsifies what agent 2 receives, not agent 1's rows
+    assert not re.search(r"^  \[.*\) s  .*V1->2", proc.stdout, re.M)
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"network": 3}')

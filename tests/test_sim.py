@@ -6,7 +6,7 @@ import pytest
 import dcmg.sim as sim
 from dcmg.errors import NegativeVariance, ValidationError
 from dcmg.lti import propagate
-from dcmg.netmodel import LineParams, NetworkSpec
+from dcmg.netmodel import LineParams, NetworkSpec, build_global, partition_agent
 from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
     AttackSpec,
@@ -22,8 +22,8 @@ from dcmg.sim import (
     step_index,
     validate_config,
 )
-from dcmg.uio import gain_step
-from oracles import observer_loop
+from dcmg.uio import discretize_agent, gain_step
+from oracles import observer_gain_step, observer_loop
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -317,40 +317,85 @@ def test_batched_observer_matches_per_agent_loop(
     assert tuple(frozen_at.index(k) for k in frozen_at) == frozen_with
 
 
+def heterogeneous_models():
+    """The three-bus triangle with per-bus C x 1/1.3/0.8 and L x 1/0.7/1.2,
+    and per-line R x 1/1.5/0.6: every agent has its own gains."""
+    network = threebus_network()
+    bus_scales = zip(network.buses, (1.0, 1.3, 0.8), (1.0, 0.7, 1.2))
+    for bus, c_scale, l_scale in bus_scales:
+        bus.c_output *= c_scale
+        bus.l_internal *= l_scale
+    for line, r_scale in zip(network.lines, (1.0, 1.5, 0.6)):
+        line.r_line *= r_scale
+    gm = build_global(network)
+    return [
+        discretize_agent(partition_agent(gm, network, i), 1e-4) for i in (1, 2, 3)
+    ]
+
+
+def first_repeat_calls(models, n_steps, frozen_at):
+    """gain_step calls of a batch that leaves at its first exact repeat.
+
+    The stacked P of the agents still in the batch is stepped with the
+    written-out update until it equals the one of an earlier step mu, on
+    step mu + lambda; the batch then makes the lambda steps again, for
+    mu + 2 lambda calls.  Agent j leaves after step frozen_at[j], and the
+    search starts over from the remaining agents' P.
+    """
+    p = [np.eye(model.n) for model in models]
+    live, seen = list(range(len(models))), {}
+    for k in range(n_steps):
+        key = b"".join(p[j].tobytes() for j in live)
+        if key in seen:
+            return 2 * k - seen[key]
+        seen[key] = k
+        for j in live:
+            p[j] = observer_gain_step(models[j], p[j])[2]
+        if k in frozen_at:
+            live, seen = [j for j in live if frozen_at[j] != k], {}
+            if not live:
+                return k + 1
+    return n_steps
+
+
 @pytest.mark.parametrize(
-    "scales, freeze_gains, freeze_tol, n_steps, n_calls",
+    "scales, freeze_gains, freeze_tol, n_steps, collide",
     [
-        # the unscaled batch's P at step 133 repeats the one of step 127
+        # the unscaled batch's P repeats with period 6 from step 100
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 2000, 139, id="scales0-False-1e-12-200"
+            (1.0, 1.0, 1.0), False, 1e-12, 2000, 0, id="scales0-False-1e-12-200"
         ),
         pytest.param(
-            (1.0, 30.0, 0.3), False, 1e-12, 2000, 663, id="scales1-False-1e-12-1000"
+            (1.0, 30.0, 0.3), False, 1e-12, 2000, 0, id="scales1-False-1e-12-1000"
         ),
         # gains freeze only on an exactly repeated trace: agents 1 and 3
         # freeze and leave the batch, whose search then restarts, while
         # agent 2's P cycles with period 2 and its trace never repeats
         pytest.param(
-            (30.0, 100.0, 1.0), True, 1e-300, 2000, 61, id="scales2-True-1e-300-200"
+            (30.0, 100.0, 1.0), True, 1e-300, 2000, 0, id="scales2-True-1e-300-200"
         ),
         # the repeat is found on the last step, whose tail is one step
-        pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 134, 139, id="hit-on-last-step"
-        ),
+        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 107, 0, id="hit-on-last-step"),
         # the horizon ends inside the first replayed period
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 138, 139, id="ends-in-first-period"
+            (1.0, 1.0, 1.0), False, 1e-12, 110, 0, id="ends-in-first-period"
         ),
+        # every agent has its own gains: P repeats with period 144 from step 63
+        pytest.param(None, False, 1e-12, 2000, 0, id="heterogeneous"),
+        # P_0 shares its hash with P_1 or P_2: making the 1 or 2 steps again
+        # from there does not lead back, so the step goes on with the first
+        # of them, and a collision with P_2 costs one gain_step more
+        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 300, 1, id="collision-1"),
+        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 300, 2, id="collision-2"),
     ],
 )
 def test_replayed_gain_cycle_matches_per_agent_loop(
-    agent_models, monkeypatch, scales, freeze_gains, freeze_tol, n_steps, n_calls
+    agent_models, monkeypatch, scales, freeze_gains, freeze_tol, n_steps, collide
 ):
-    # in float64 the varying gains enter an exact cycle (from about step
-    # 100 unscaled, about 660 scaled), after which the engine runs the
-    # rest of the horizon as one periodic tail instead of calling
-    # gain_step; the tail reorders the products, so the estimates match
-    # the per-step loop to rounding, and the covariances bit for bit
+    # in float64 the varying gains enter an exact cycle, after which the
+    # engine runs the rest of the horizon as one periodic tail instead of
+    # calling gain_step; the tail reorders the products, so the estimates
+    # match the per-step loop to rounding, and the covariances bit for bit
     calls = []
 
     def counted(*args):
@@ -358,17 +403,29 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
         return gain_step(*args)
 
     monkeypatch.setattr(sim, "gain_step", counted)
+    if collide:
+        firsts = []
+
+        def colliding(data):
+            if data not in firsts:
+                firsts.append(data)
+            return 0 if firsts.index(data) in (0, collide) else hash(data)
+
+        # module globals shadow builtins, so this replaces the engine's hash
+        monkeypatch.setattr(sim, "hash", colliding, raising=False)
     rng = np.random.default_rng(11)
-    models = [
-        dataclasses.replace(model, q=model.q * scale, r=model.r / scale)
-        for model, scale in zip(agent_models.values(), scales)
-    ]
+    if scales is None:
+        models = heterogeneous_models()
+    else:
+        models = [
+            dataclasses.replace(model, q=model.q * scale, r=model.r / scale)
+            for model, scale in zip(agent_models.values(), scales)
+        ]
     y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
     res = np.empty_like(y)
     cfg = ScenarioConfig(freeze_gains=freeze_gains, freeze_tol=freeze_tol)
     x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
-    assert len(calls) == n_calls
     frozen_at = []
     for j, model in enumerate(models):
         xh_ref, res_ref, p_ref, k_ref = observer_loop(
@@ -381,6 +438,8 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
         frozen_at.append(k_ref)
     if freeze_gains:
         assert frozen_at[1] is None and None not in (frozen_at[0], frozen_at[2])
+    expected = first_repeat_calls(models, n_steps, frozen_at)
+    assert len(calls) == expected + max(collide - 1, 0)
 
 
 def test_path_network_splits_into_groups_matching_per_agent_loop():
