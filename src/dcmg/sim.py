@@ -23,22 +23,20 @@ closing the loop among the per-agent models (each integrating against
 the other's held samples) is unstable at practical step sizes because
 the lightly damped LC line modes get only a few samples per period.
 
-Agents of equal state, measurement and input counts form a group, and
-each group's series are built as one block with the agent axis first.
-A group's inputs (source setpoints and received voltages) are gathered
-once: the metered layer forms its drive from them while they are true,
-then the attack biases are added in place for the observers and
-``comms``.  The observers of a group run as one engine: while any
-agent's gains still vary, every step makes one batched ``uio.gain_step``
-for those agents and advances their z-recursions together.  Agents whose
-gains have frozen leave the batch.  The gain recursion is a pure
-function of P, and in float64 it soon repeats itself bit for bit; on the
-step the batch's P first equals an earlier one, found by the hash of its
-bytes, the whole batch leaves with the period's gains, stepped once
-more, and no further ``gain_step`` is made.  Either way the rest of a
-leaving agent's horizon is a periodic linear recursion in z (period 1
-for frozen gains), and the agents of adjacent rows of z that leave on
-one step run it together as one lifted scan,
+Agents of equal models form a group, and each group's series are built
+as one block with the agent axis first.  A group's inputs (source
+setpoints and received voltages) are gathered once: the metered layer
+forms its drive from them while they are true, then the attack biases
+are added in place for the observers and ``comms``.  The gain recursion
+reads the model, never the data, so one recursion serves a group's
+observers: every step makes one ``uio.gain_step`` and advances all the
+group's z-recursions together, until the gains freeze.  The recursion is
+a pure function of P, and in float64 it soon repeats itself bit for bit;
+on the step P first equals an earlier one, found by the hash of its
+bytes, the group leaves with the period's gains, stepped once more, and
+no further ``gain_step`` is made.  Either way the rest of the group's
+horizon is a periodic linear recursion in z (period 1 for frozen gains),
+which all its agents run together as one lifted scan,
 ``lti.propagate_periodic_into``.  The plant and the metered layer step
 their linear recursions with ``lti.propagate``.  A plant state that
 overflows raises ``NonFinite``.
@@ -65,7 +63,7 @@ from .errors import (
 )
 from .lti import discretize_zoh, propagate, propagate_periodic_into
 from .netmodel import NetworkSpec, build_global, partition_agent
-from .uio import AgentBatch, AgentModel, discretize_agent, gain_step
+from .uio import AgentModel, discretize_agent, gain_step
 
 _TAG_PROCESS = 0
 _TAG_MEASUREMENT = 1
@@ -397,136 +395,104 @@ def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:
 
 
 def _run_observer(
-    models: list[AgentModel],
+    model: AgentModel,
     y: np.ndarray,
     u_x: np.ndarray,
     residuals: list[np.ndarray],
     config: ScenarioConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the observers of a group of agents of equal (n, m, n_inputs)
-    over the whole horizon.
+    """Run the observers of a group of agents whose models all equal
+    ``model`` over the whole horizon.
 
     ``y`` is (g, K + 1, m) and ``u_x`` (g, K or K + 1, n_u), one row per
-    agent of ``models`` (K is read from ``y``; row K of ``u_x`` is unused);
-    ``residuals[j]`` receives agent j's y - C x^.  Estimates start from
-    the first measurement when C = I (else from zero) with unit
-    covariance, z offset so that x^_0 = z_0 + H y_0.  Returns x_hat
-    (g, K + 1, n), formed in place over z, and the final P (g, n, n).
+    agent of the group (K is read from ``y``; row K of ``u_x`` is unused);
+    ``residuals[j]`` receives row j's y - C x^.  Estimates start from the
+    first measurement when C = I (else from zero) with unit covariance, z
+    offset so that x^_0 = z_0 + H y_0.  Returns x_hat (g, K + 1, n),
+    formed in place over z, and the final P (n, n), which the group shares.
 
-    While the gains vary, each step makes one batched ``gain_step`` for
-    the agents still in the batch and advances their z-recursions
-    together.  Agent j keeps row j of z throughout, and row k + 1 holds
-    its drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  Agents
-    leave the batch in two ways, and the rest of their horizon is then a
-    periodic linear recursion in z, run by ``lti.propagate_periodic_into``:
+    The gain recursion reads the model and P, never the data, so the group
+    runs one recursion on one P: each step makes one ``gain_step`` and
+    advances every row of z with its gains.  Row k + 1 of z holds the
+    drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  The
+    recursion stops in one of two ways, and the rest of the horizon is
+    then a periodic linear recursion in z, run for every row by one
+    ``lti.propagate_periodic_into``:
 
-    - with ``freeze_gains``, an agent's gains freeze once its covariance
-      trace stops moving (``_frozen``): period 1, that step's gains;
-    - P' depends on P alone, so once the batch's stacked P equals an
-      earlier one byte for byte, every later step repeats the steps
-      between the two.  A dict maps the hash of the bytes of each P since
-      the batch last changed to its step, so the first repeat, of step mu
-      on step mu + lambda, is seen as it happens (Knuth, TAOCP Vol. 2,
-      3.1 ex. 6-7).  The lambda steps are then made again from the
-      current P; if they lead back to it byte for byte, the whole batch
-      leaves with them, after mu + 2 lambda gain steps in all.  Else (a
-      hash collision) the key moves on to this step.  Every trace pair of
-      the cycle has passed the freeze rule already, so no agent would
-      freeze later.
+    - with ``freeze_gains``, the gains freeze once the covariance trace
+      stops moving (``_frozen``): period 1, that step's gains;
+    - P' depends on P alone, so once P equals an earlier one byte for
+      byte, every later step repeats the steps between the two.  A dict
+      maps the hash of the bytes of each P to its step, so the first
+      repeat, of step mu on step mu + lambda, is seen as it happens
+      (Knuth, TAOCP Vol. 2, 3.1 ex. 6-7).  The lambda steps are then made
+      again from the current P; if they lead back to it byte for byte,
+      the recursion stops with them, after mu + 2 lambda gain steps in
+      all.  Else (a hash collision) the key moves on to this step.  Every
+      trace pair of the cycle has passed the freeze rule already, so the
+      gains would not freeze later.
 
-    A tail adds the (K1 + K2)_(k mod L) y_k terms to its rows, and the
-    leaving agents of adjacent rows run it together.  A period-1 tail
-    gives the same bits as stepping; a longer period reorders the
-    products, and differs from stepping by rounding.
+    The tail adds the (K1 + K2)_(k mod L) y_k terms to each row.  A
+    period-1 tail gives the same bits as stepping; a longer period
+    reorders the products, and differs from stepping by rounding.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
-    n = models[0].n
-    batch = AgentBatch.of(models)
-    h = batch.h
-    tb_t = (batch.t @ np.stack([model.b_x for model in models])).swapaxes(-1, -2)
-    x0 = np.stack(
-        [
-            y[j, 0] if np.array_equal(model.c, np.eye(n)) else np.zeros(n)
-            for j, model in enumerate(models)
-        ]
-    )
+    n = model.n
+    h, t = model.structural
+    x0 = y[:, 0] if np.array_equal(model.c, np.eye(n)) else np.zeros((g, n))
     z = np.empty((g, n_steps + 1, n))
     z[:, 0] = x0 - (h @ y[:, 0, :, None])[..., 0]
-    for j in range(g):
-        np.matmul(u_x[j, :n_steps], tb_t[j], out=z[j, 1:])
-    p = np.tile(np.eye(n), (g, 1, 1))
-    p_end = np.empty_like(p)
-    live, rows = np.arange(g), slice(None)  # the agents still in the batch
-    seen: dict[int, int] = {}  # the step of each P since the batch changed
+    np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
+    p = np.eye(n)
+    seen: dict[int, int] = {}  # the step of each P so far
     for k in range(n_steps):
         data = p.tobytes()
         first = seen.setdefault(hash(data), k)
-        steps = _gain_steps(batch, p, max(k - first, 1))
-        if first < k and steps[-1][2].tobytes() == data:
-            # every step from here on repeats the last k - first steps, and
-            # none of them froze an agent: the whole batch leaves
-            leave = np.ones(live.size, dtype=bool)
-        else:
+        steps = _gain_steps(model, p, max(k - first, 1))
+        if not (first < k and steps[-1][2].tobytes() == data):
             # a new P, or one whose hash collides with an earlier P's
             seen[hash(data)] = k
             (f, k_sum, p_next), steps = steps[0], steps[:1]
-            leave, p = _frozen(p, p_next, config), p_next
-        if leave is not None:
-            keep = ~leave
-            f_tab, k_tab, p_tab = (
-                np.stack(part, axis=1)[leave] for part in zip(*steps)
-            )
-            period = len(steps)
-            gone = live[leave]
-            p_end[gone] = p_tab[:, (n_steps - 1 - k) % period]
-            cuts = np.flatnonzero(np.diff(gone) > 1) + 1
-            tabs = (np.split(part, cuts) for part in (gone, f_tab, k_tab))
-            for run, f_run, k_run in zip(*tabs):
-                rs = slice(run[0], run[-1] + 1)
-                z_run, y_run = z[rs, k:], y[rs, k:-1]
-                # one product per agent and phase: one per phase for the
-                # whole run would need a temporary as large as its rows of z
-                for zj, yj, kj in zip(z_run, y_run, k_run):
-                    for i in range(period):
-                        zj[1 + i :: period] += yj[i::period] @ kj[i].T
-                propagate_periodic_into(f_run, z_run)
-            live = rows = live[keep]
-            if not live.size:
-                break
-            batch, p, f, k_sum = batch.take(keep), p[keep], f[keep], k_sum[keep]
-            seen.clear()  # the batch changed: search again from its P
-        z[rows, k + 1] = (
-            (f @ z[rows, k, :, None])[..., 0] + z[rows, k + 1]
-        ) + (k_sum @ y[rows, k, :, None])[..., 0]
-    else:
-        p_end[live] = p
-    for j, model in enumerate(models):
+            if not _frozen(p, p_next, config):
+                p = p_next
+                z[:, k + 1] = (
+                    (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
+                ) + (k_sum @ y[:, k, :, None])[..., 0]
+                continue
+        # every step from here on repeats ``steps``
+        f_tab, k_tab, p_tab = (np.stack(part) for part in zip(*steps))
+        period = len(steps)
+        # one product per agent and phase: one per phase for the whole
+        # group would need a temporary as large as its rows of z
+        for zj, yj in zip(z[:, k:], y[:, k:-1]):
+            for i in range(period):
+                zj[1 + i :: period] += yj[i::period] @ k_tab[i].T
+        propagate_periodic_into(f_tab, z[:, k:])
+        p = p_tab[(n_steps - 1 - k) % period]
+        break
+    for j in range(g):
         x_hat = z[j]
-        x_hat += y[j] @ h[j].T
+        x_hat += y[j] @ h.T
         x_hat[0] = x0[j]
         np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
-    return z, p_end
+    return z, p
 
 
-def _frozen(
-    p: np.ndarray, p_next: np.ndarray, config: ScenarioConfig
-) -> np.ndarray | None:
-    """Mask of the agents whose gains freeze on the step from ``p`` to
-    ``p_next``: with ``freeze_gains``, those whose covariance trace moved
-    by less than freeze_tol * max(1, |trace|).  None if no agent froze."""
+def _frozen(p: np.ndarray, p_next: np.ndarray, config: ScenarioConfig) -> bool:
+    """Whether the gains freeze on the step from ``p`` to ``p_next``: with
+    ``freeze_gains``, once the covariance trace moved by less than
+    freeze_tol * max(1, |trace|)."""
     if not config.freeze_gains:
-        return None
-    tr = p_next.trace(axis1=1, axis2=2)
-    moved = np.abs(tr - p.trace(axis1=1, axis2=2))
-    frozen = moved < config.freeze_tol * np.maximum(1.0, np.abs(tr))
-    return frozen if frozen.any() else None
+        return False
+    tr = np.trace(p_next)
+    return abs(tr - np.trace(p)) < config.freeze_tol * max(1.0, abs(tr))
 
 
-def _gain_steps(batch: AgentBatch, p: np.ndarray, count: int) -> list[tuple]:
-    """(F, K1 + K2, P') of each of ``count`` batched gain steps from ``p``."""
+def _gain_steps(model: AgentModel, p: np.ndarray, count: int) -> list[tuple]:
+    """(F, K1 + K2, P') of each of ``count`` gain steps from ``p``."""
     steps = []
     for _ in range(count):
-        gains, p = gain_step(batch, p)
+        gains, p = gain_step(model, p)
         steps.append((gains.f, gains.k1 + gains.k2, p))
     return steps
 
@@ -560,12 +526,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         )
         models[i] = discretize_agent(cont, config.ts)
     plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
-    # agents of equal (n, m, n_inputs) propagate their metered layer and
-    # step their observers as one batch
-    by_shape: dict[tuple[int, int, int], list[int]] = {}
+    # agents of equal models propagate their metered layer and run their
+    # observers as one group, which one gain recursion serves
+    by_model: dict[tuple, list[int]] = {}
     for i, model in models.items():
-        by_shape.setdefault((model.n, model.m, model.n_inputs), []).append(i)
-    groups = [by_shape[key] for key in sorted(by_shape)]
+        matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
+        key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
+        by_model.setdefault(key, []).append(i)
+    groups = list(by_model.values())
 
     n_steps = step_index(config.horizon, config.ts, "horizon")
     times = np.arange(n_steps + 1) * config.ts
@@ -676,18 +644,17 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         i: residual_block[:, start:end]
         for i, start, end in zip(models, bounds[:-1], bounds[1:])
     }
-    x_hat, p_end = [], []
+    x_hat, p_end = [], {}
     for group, y_block, block in zip(groups, y, inputs):
         xh, p_group = _run_observer(
-            [models[i] for i in group],
+            models[group[0]],
             y_block,
             block,
             [residuals[i] for i in group],
             config,
         )
         x_hat.append(xh)
-        p_end.append(p_group)
-    p_end = _by_agent(groups, p_end)
+        p_end.update(dict.fromkeys(group, p_group))
     for i, model in models.items():
         if config.detector.sigma_source == "warmup":
             sigmas[i] = np.std(residuals[i][1 : k_warm + 1], axis=0)

@@ -19,20 +19,18 @@ so a bias ``a`` injected on a received neighbour voltage leaves a persistent
 residual r = y - C x^ on the corresponding line-current channel while load
 steps leave no trace at all.
 
-The gain update never reads the data, so agents of equal state and
-measurement counts step it together: :class:`AgentBatch` stacks their
-matrices along a leading agent axis, and :func:`gain_step` updates every
-agent of a batch with stacked matrix products, one stacked solve and one
-stacked eigendecomposition.  Given a single :class:`AgentModel` it makes
-the same update for that agent alone.  The update reads nothing but P,
-and in float64 it soon cycles exactly, so ``sim._run_observer`` calls it
-only until the batch's P repeats bit for bit and then replays the
-period's gains.
+The gain update reads the model and P, never the data, so agents of
+equal models share one recursion.  :func:`gain_step` updates the P of one
+:class:`AgentModel`, with the parts that do not depend on P formed once
+per model (:attr:`AgentModel.gain_terms`), and ``sim._run_observer`` runs
+one recursion for each group of equal models.  In float64 the recursion
+soon cycles exactly, so the engine calls it only until P repeats bit for
+bit and then replays the period's gains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -91,10 +89,17 @@ class AgentModel:
         return structural_gains(self)
 
     @cached_property
-    def batch(self) -> AgentBatch:
-        """This agent alone as an :class:`AgentBatch`, formed once per
-        model on the same terms as :attr:`structural`."""
-        return AgentBatch.of([self])
+    def gain_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T A, H R H^T, T Q T^T): the parts of :func:`gain_step` that do
+        not depend on P, formed once per model on the same terms as
+        :attr:`structural`, after R and Q are checked against C and A."""
+        n, m = self.n, self.m
+        if self.r.shape != (m, m):
+            raise DimensionMismatch(f"r must be {m}x{m}, got {self.r.shape}")
+        if self.q.shape != (n, n):
+            raise DimensionMismatch(f"q must be {n}x{n}, got {self.q.shape}")
+        h, t = self.structural
+        return t @ self.a, h @ self.r @ h.T, t @ self.q @ t.T
 
 
 @dataclass
@@ -153,78 +158,18 @@ def structural_gains(model: AgentModel) -> tuple[np.ndarray, np.ndarray]:
     return h, t
 
 
-def _t(x: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack."""
-    return x.swapaxes(-1, -2)
-
-
-@dataclass
-class AgentBatch:
-    """Agents of equal state count n and measurement count m, stacked for
-    the gain update along a leading agent axis of length g.
-
-    Besides the matrices the update reads, it holds the parts of the
-    update that do not depend on P -- T A, H R H^T and T Q T^T -- formed
-    once per batch.
-    """
-
-    agent_ids: np.ndarray  # (g,)
-    c: np.ndarray  # (g, m, n)
-    r: np.ndarray  # (g, m, m)
-    h: np.ndarray  # (g, n, m)
-    t: np.ndarray  # (g, n, n)
-    ta: np.ndarray  # (g, n, n)
-    hrh: np.ndarray  # (g, n, n)
-    tqt: np.ndarray  # (g, n, n)
-
-    @classmethod
-    def of(cls, models: list[AgentModel]) -> AgentBatch:
-        """Stack ``models``, which share n and m, checking R and Q against
-        them."""
-        n, m = models[0].n, models[0].m
-        for model in models:
-            if model.r.shape != (m, m):
-                raise DimensionMismatch(f"r must be {m}x{m}, got {model.r.shape}")
-            if model.q.shape != (n, n):
-                raise DimensionMismatch(f"q must be {n}x{n}, got {model.q.shape}")
-        c, r, q, a = (np.stack([getattr(mdl, k) for mdl in models]) for k in "crqa")
-        h = np.stack([mdl.structural[0] for mdl in models])
-        t = np.stack([mdl.structural[1] for mdl in models])
-        ids = np.array([mdl.agent_id for mdl in models])
-        return cls(ids, c, r, h, t, t @ a, h @ r @ _t(h), t @ q @ _t(t))
-
-    def take(self, keep: np.ndarray) -> AgentBatch:
-        """The agents selected by the boolean mask ``keep``."""
-        return replace(
-            self, **{f.name: getattr(self, f.name)[keep] for f in fields(self)}
-        )
-
-
 def _clamp_psd(p: np.ndarray) -> np.ndarray:
-    """Symmetrize each matrix of a stack and clip negative eigenvalues to
-    zero in the matrices that have any."""
-    p = (p + _t(p)) / 2.0
+    """Symmetrize ``p`` and clip its negative eigenvalues to zero, if it
+    has any."""
+    p = (p + p.T) / 2.0
     w, v = np.linalg.eigh(p)
-    neg = w[:, 0] < 0.0
-    if neg.any():
-        v = v[neg]
-        p_neg = (v * np.maximum(w[neg], 0.0)[:, None, :]) @ _t(v)
-        p[neg] = (p_neg + _t(p_neg)) / 2.0
+    if w[0] < 0.0:
+        p = (v * np.maximum(w, 0.0)) @ v.T
+        p = (p + p.T) / 2.0
     return p
 
 
-def _singular_agent(batch: AgentBatch, s: np.ndarray) -> int | None:
-    """Id of the first agent whose innovation covariance cannot be factored."""
-    for agent, s_j in zip(batch.agent_ids, s):
-        try:
-            np.linalg.inv(s_j)
-        except np.linalg.LinAlgError:
-            return int(agent)
-
-
-def gain_step(
-    model: AgentModel | AgentBatch, p_k: np.ndarray
-) -> tuple[ObserverGains, np.ndarray]:
+def gain_step(model: AgentModel, p_k: np.ndarray) -> tuple[ObserverGains, np.ndarray]:
     """One update of the optimal gain and error covariance.
 
     K1 = T A P C^T (C P C^T + R)^{-1} minimises the next error covariance
@@ -236,44 +181,29 @@ def gain_step(
     on agent 1 of the bundled network the unclipped P' has least eigenvalue
     -95.5 on every step and settles at trace -28.9; the clipped one at 66.6.
 
-    ``model`` is one agent with ``p_k`` of shape (n, n), or an
-    :class:`AgentBatch` with ``p_k`` of shape (g, n, n); the gains and P'
-    carry the same leading agent axis as ``p_k``.  A singular innovation
-    covariance or non-finite gains raise ``SingularInnovation`` naming
-    the first agent affected.
+    ``p_k`` is (n, n).  A singular innovation covariance or non-finite
+    gains raise ``SingularInnovation`` naming the agent.
     """
-    single = isinstance(model, AgentModel)
-    batch = model.batch if single else model
     p_k = np.asarray(p_k, dtype=float)
-    g, m, n = batch.c.shape
-    shape = (n, n) if single else (g, n, n)
-    if p_k.shape != shape:
-        raise DimensionMismatch(
-            f"p_k must be {'x'.join(map(str, shape))}, got {p_k.shape}"
-        )
-    if single:
-        p_k = p_k[None]
-
-    c_t = _t(batch.c)
-    s = batch.c @ p_k @ c_t + batch.r
+    n = model.n
+    if p_k.shape != (n, n):
+        raise DimensionMismatch(f"p_k must be {n}x{n}, got {p_k.shape}")
+    ta, hrh, tqt = model.gain_terms
+    h, t = model.structural
+    c, r = model.c, model.r
+    s = c @ p_k @ c.T + r
     try:
         # K1 = (T A) P C^T S^{-1}, via a solve on the symmetric S
-        k1 = _t(np.linalg.solve(s, _t(batch.ta @ p_k @ c_t)))
+        k1 = np.linalg.solve(s, (ta @ p_k @ c.T).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(
-            f"agent {_singular_agent(batch, s)}: innovation covariance is singular"
+            f"agent {model.agent_id}: innovation covariance is singular"
         ) from exc
-    finite = np.isfinite(k1).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(k1).all():
         raise SingularInnovation(
-            f"agent {batch.agent_ids[np.argmin(finite)]}: innovation solve "
-            "produced non-finite gains"
+            f"agent {model.agent_id}: innovation solve produced non-finite gains"
         )
-    f = batch.ta - k1 @ batch.c
-    k2 = f @ batch.h
-    p_next = f @ p_k @ _t(f) + k1 @ batch.r @ _t(k1) - batch.hrh + batch.tqt
-    gains = ObserverGains(h=batch.h, t=batch.t, f=f, k1=k1, k2=k2)
-    p_next = _clamp_psd(p_next)
-    if single:
-        return ObserverGains(**{k: v[0] for k, v in vars(gains).items()}), p_next[0]
-    return gains, p_next
+    f = ta - k1 @ c
+    p_next = f @ p_k @ f.T + k1 @ r @ k1.T - hrh + tqt
+    gains = ObserverGains(h=h, t=t, f=f, k1=k1, k2=f @ h)
+    return gains, _clamp_psd(p_next)

@@ -488,10 +488,11 @@ def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):
     path.write_text(json.dumps(scn))
     reports, build_report = [], cli.build_report
 
-    def strict(*args):
+    def strict(config, trace, wall_seconds):
+        trace.residuals[3][:, -1] = 0.0  # one all-zero channel
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            reports.append(build_report(*args))
+            reports.append(build_report(config, trace, wall_seconds))
         return reports[-1]
 
     monkeypatch.setattr(cli, "build_report", strict)
@@ -500,6 +501,7 @@ def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):
     rms = [v for agent in reports[0].residual_rms.values() for v in agent.values()]
     assert len(rms) == 12 and np.isfinite(rms).all()
     assert max(rms) > 1e200  # far past the 1.3e154 whose square overflows
+    assert reports[0].residual_rms[3]["I3_2"] == 0.0
 
 
 def test_parse_error_type():
@@ -752,3 +754,35 @@ def test_run_threebus_script(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+def test_count_lines_script(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "@staticmethod\n"
+        "def f(x):\n"
+        "    return x  # trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """One line."""\n'
+    )
+    script = Path(__file__).resolve().parents[1] / "scripts" / "count_lines.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(source)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the docstring's three lines, the decorator, def and return, and the
+    # class with its docstring; no blank or comment-only line
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["8", str(source)],
+        ["3", "f"],
+        ["2", "C"],
+        ["8", "total", str(source)],
+    ]

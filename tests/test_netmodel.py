@@ -199,6 +199,13 @@ def test_validate_rejects_bad_topologies():
         NetworkSpec(
             buses=[good_bus, good_bus], lines=[LineParams(1, 2, -0.1, 5e-4)]
         ).validate()
+    with pytest.raises(InvalidTopology, match="bus 1: r_internal must be >= 0"):
+        NetworkSpec(buses=[BusParams(-0.05, 3e-3, 1e-5)]).validate()
+    with pytest.raises(InvalidTopology, match="line 0: r_line must be finite"):
+        NetworkSpec(
+            buses=[good_bus, good_bus],
+            lines=[LineParams(1, 2, float("inf"), 5e-4)],
+        ).validate()
 
 
 def test_partition_rejects_bad_inputs(threebus, global_model):

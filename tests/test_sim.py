@@ -77,6 +77,8 @@ def test_step_index_snaps_within_tolerance():
     assert step_index(0.0, 1e-4) == 0
     with pytest.raises(ValidationError, match="off-grid"):
         step_index(3.5e-4, 1e-4)
+    with pytest.raises(ValidationError, match="ts must be finite and > 0"):
+        step_index(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +271,35 @@ def test_warmup_sigmas_detect_and_attribute():
 
 
 # ---------------------------------------------------------------------------
-# batched observer engine against the per-agent loop
+# the observer engine, one run per group of equal models, against the
+# per-agent loop
 
 
 @pytest.mark.parametrize(
-    "ids, scales, freeze_gains, frozen_with",
+    "ids, scales, freeze_gains, groups",
     [
-        # scaled noise figures make the three agents' gains settle at
-        # different steps, so agents leave the batch one by one
-        pytest.param((1, 2, 3), (1.0, 30.0, 0.3), True, (0, 1, 2), id="True"),
-        pytest.param((1, 2, 3), (1.0, 30.0, 0.3), False, (0, 0, 0), id="False"),
-        # agents 1 and 3 are identical and freeze together, leaving the
-        # batch from rows of z that are not adjacent
-        pytest.param((1, 2, 3), (1.0, 30.0, 1.0), True, (0, 1, 0), id="apart-True"),
-        # rows 0, 1 and 3 freeze on one step, after row 2 has left: one
-        # tail call runs rows 0 and 1, another row 3
+        # scaled noise figures give the three agents models of their own,
+        # whose gains settle at different steps
         pytest.param(
-            (1, 2, 3, 1), (1.0, 1.0, 30.0, 1.0), True, (0, 0, 2, 0), id="runs-True"
+            (1, 2, 3), (1.0, 30.0, 0.3), True, ((0,), (1,), (2,)), id="True"
+        ),
+        # no P of these three models repeats within the horizon, so each
+        # group steps every step (the replay test covers repeats)
+        pytest.param(
+            (1, 2, 3), (0.3, 0.1, 0.05), False, ((0,), (1,), (2,)), id="False"
+        ),
+        # agents 1 and 3 are identical: one group runs rows 0 and 2
+        pytest.param(
+            (1, 2, 3), (1.0, 30.0, 1.0), True, ((0, 2), (1,)), id="apart-True"
+        ),
+        # rows 0, 1 and 3 hold equal models, row 2 a model of its own
+        pytest.param(
+            (1, 2, 3, 1), (1.0, 1.0, 30.0, 1.0), True, ((0, 1, 3), (2,)), id="runs-True"
         ),
     ],
 )
 def test_batched_observer_matches_per_agent_loop(
-    agent_models, ids, scales, freeze_gains, frozen_with
+    agent_models, ids, scales, freeze_gains, groups
 ):
     rng = np.random.default_rng(11)
     models = [
@@ -302,22 +311,24 @@ def test_batched_observer_matches_per_agent_loop(
     u_x = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps, 3))
     res = np.empty_like(y)
     cfg = ScenarioConfig(freeze_gains=freeze_gains)
-    x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
     frozen_at = []
-    for j, model in enumerate(models):
-        xh_ref, res_ref, p_ref, k_ref = observer_loop(
-            model, y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate
+    for group in groups:
+        rows = list(group)
+        x_hat, p_end = _run_observer(
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], cfg
         )
-        assert np.array_equal(x_hat[j], xh_ref)
-        assert np.array_equal(res[j], res_ref)
-        assert np.array_equal(p_end[j], p_ref)
-        frozen_at.append(k_ref)
-    # frozen_with[j] is the first row whose gains froze on row j's step
+        for row, j in enumerate(rows):
+            xh_ref, res_ref, p_ref, k_ref = observer_loop(
+                models[j], y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate
+            )
+            assert np.array_equal(x_hat[row], xh_ref)
+            assert np.array_equal(res[j], res_ref)
+            assert np.array_equal(p_end, p_ref)
+            frozen_at.append(k_ref)
     assert (None in frozen_at) != freeze_gains
-    assert tuple(frozen_at.index(k) for k in frozen_at) == frozen_with
 
 
-def heterogeneous_models():
+def heterogeneous_network():
     """The three-bus triangle with per-bus C x 1/1.3/0.8 and L x 1/0.7/1.2,
     and per-line R x 1/1.5/0.6: every agent has its own gains."""
     network = threebus_network()
@@ -327,70 +338,92 @@ def heterogeneous_models():
         bus.l_internal *= l_scale
     for line, r_scale in zip(network.lines, (1.0, 1.5, 0.6)):
         line.r_line *= r_scale
+    return network
+
+
+def heterogeneous_models():
+    network = heterogeneous_network()
     gm = build_global(network)
     return [
         discretize_agent(partition_agent(gm, network, i), 1e-4) for i in (1, 2, 3)
     ]
 
 
-def first_repeat_calls(models, n_steps, frozen_at):
-    """gain_step calls of a batch that leaves at its first exact repeat.
+def first_repeat_calls(model, n_steps, frozen_at):
+    """gain_step calls of one model's recursion that stops at its first
+    exact repeat.
 
-    The stacked P of the agents still in the batch is stepped with the
-    written-out update until it equals the one of an earlier step mu, on
-    step mu + lambda; the batch then makes the lambda steps again, for
-    mu + 2 lambda calls.  Agent j leaves after step frozen_at[j], and the
-    search starts over from the remaining agents' P.
+    P is stepped with the written-out update until it equals the one of
+    an earlier step mu, on step mu + lambda; the recursion then makes the
+    lambda steps again, for mu + 2 lambda calls.  Gains that freeze after
+    step frozen_at stop it there.
     """
-    p = [np.eye(model.n) for model in models]
-    live, seen = list(range(len(models))), {}
+    p, seen = np.eye(model.n), {}
     for k in range(n_steps):
-        key = b"".join(p[j].tobytes() for j in live)
+        key = p.tobytes()
         if key in seen:
             return 2 * k - seen[key]
         seen[key] = k
-        for j in live:
-            p[j] = observer_gain_step(models[j], p[j])[2]
-        if k in frozen_at:
-            live, seen = [j for j in live if frozen_at[j] != k], {}
-            if not live:
-                return k + 1
+        p = observer_gain_step(model, p)[2]
+        if k == frozen_at:
+            return k + 1
     return n_steps
 
 
 @pytest.mark.parametrize(
-    "scales, freeze_gains, freeze_tol, n_steps, collide",
+    "scales, freeze_gains, freeze_tol, n_steps, collide, groups",
     [
-        # the unscaled batch's P repeats with period 6 from step 100
+        # the unscaled model's P repeats with period 6 from step 100
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 2000, 0, id="scales0-False-1e-12-200"
+            (1.0, 1.0, 1.0), False, 1e-12, 2000, 0, ((0, 1, 2),),
+            id="scales0-False-1e-12-200",
         ),
         pytest.param(
-            (1.0, 30.0, 0.3), False, 1e-12, 2000, 0, id="scales1-False-1e-12-1000"
+            (1.0, 30.0, 0.3), False, 1e-12, 2000, 0, ((0,), (1,), (2,)),
+            id="scales1-False-1e-12-1000",
         ),
         # gains freeze only on an exactly repeated trace: agents 1 and 3
-        # freeze and leave the batch, whose search then restarts, while
-        # agent 2's P cycles with period 2 and its trace never repeats
+        # freeze, while agent 2's P cycles with period 2 and its trace
+        # never repeats
         pytest.param(
-            (30.0, 100.0, 1.0), True, 1e-300, 2000, 0, id="scales2-True-1e-300-200"
+            (30.0, 100.0, 1.0), True, 1e-300, 2000, 0, ((0,), (1,), (2,)),
+            id="scales2-True-1e-300-200",
         ),
         # the repeat is found on the last step, whose tail is one step
-        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 107, 0, id="hit-on-last-step"),
+        pytest.param(
+            (1.0, 1.0, 1.0), False, 1e-12, 107, 0, ((0, 1, 2),),
+            id="hit-on-last-step",
+        ),
         # the horizon ends inside the first replayed period
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 110, 0, id="ends-in-first-period"
+            (1.0, 1.0, 1.0), False, 1e-12, 110, 0, ((0, 1, 2),),
+            id="ends-in-first-period",
         ),
-        # every agent has its own gains: P repeats with period 144 from step 63
-        pytest.param(None, False, 1e-12, 2000, 0, id="heterogeneous"),
+        # every agent has its own gains, and its P its own first repeat:
+        # 91, 83 and 99 gain steps
+        pytest.param(
+            None, False, 1e-12, 2000, 0, ((0,), (1,), (2,)), id="heterogeneous"
+        ),
         # P_0 shares its hash with P_1 or P_2: making the 1 or 2 steps again
         # from there does not lead back, so the step goes on with the first
         # of them, and a collision with P_2 costs one gain_step more
-        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 300, 1, id="collision-1"),
-        pytest.param((1.0, 1.0, 1.0), False, 1e-12, 300, 2, id="collision-2"),
+        pytest.param(
+            (1.0, 1.0, 1.0), False, 1e-12, 300, 1, ((0, 1, 2),), id="collision-1"
+        ),
+        pytest.param(
+            (1.0, 1.0, 1.0), False, 1e-12, 300, 2, ((0, 1, 2),), id="collision-2"
+        ),
     ],
 )
 def test_replayed_gain_cycle_matches_per_agent_loop(
-    agent_models, monkeypatch, scales, freeze_gains, freeze_tol, n_steps, collide
+    agent_models,
+    monkeypatch,
+    scales,
+    freeze_gains,
+    freeze_tol,
+    n_steps,
+    collide,
+    groups,
 ):
     # in float64 the varying gains enter an exact cycle, after which the
     # engine runs the rest of the horizon as one periodic tail instead of
@@ -425,59 +458,72 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
     u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
     res = np.empty_like(y)
     cfg = ScenarioConfig(freeze_gains=freeze_gains, freeze_tol=freeze_tol)
-    x_hat, p_end = _run_observer(models, y, u_x, list(res), cfg)
     frozen_at = []
-    for j, model in enumerate(models):
-        xh_ref, res_ref, p_ref, k_ref = observer_loop(
-            model, y[j], u_x[j], freeze_gains, freeze_tol, propagate
+    for group in groups:
+        rows = list(group)
+        calls.clear()
+        x_hat, p_end = _run_observer(
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], cfg
         )
-        bound = 1e-13 * np.max(np.abs(xh_ref))
-        assert np.max(np.abs(x_hat[j] - xh_ref)) <= bound
-        assert np.max(np.abs(res[j] - res_ref)) <= bound
-        assert np.array_equal(p_end[j], p_ref)
-        frozen_at.append(k_ref)
+        for row, j in enumerate(rows):
+            xh_ref, res_ref, p_ref, k_ref = observer_loop(
+                models[j], y[j], u_x[j], freeze_gains, freeze_tol, propagate
+            )
+            bound = 1e-13 * np.max(np.abs(xh_ref))
+            assert np.max(np.abs(x_hat[row] - xh_ref)) <= bound
+            assert np.max(np.abs(res[j] - res_ref)) <= bound
+            assert np.array_equal(p_end, p_ref)
+            frozen_at.append(k_ref)
+        expected = first_repeat_calls(models[rows[0]], n_steps, frozen_at[-1])
+        assert len(calls) == expected + max(collide - 1, 0)
     if freeze_gains:
         assert frozen_at[1] is None and None not in (frozen_at[0], frozen_at[2])
-    expected = first_repeat_calls(models, n_steps, frozen_at)
-    assert len(calls) == expected + max(collide - 1, 0)
 
 
-def test_path_network_splits_into_groups_matching_per_agent_loop():
+def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
     # the end agents of a 4-bus path have one neighbour (n = 3), the
-    # middle ones two (n = 4): two batches of two agents each
-    network = NetworkSpec(
+    # middle ones two (n = 4): two groups of two equal models each; every
+    # agent of the heterogeneous triangle has a model, so a group, of its own
+    path = NetworkSpec(
         buses=[example_bus() for _ in range(4)],
         lines=[LineParams(tail=k, head=k + 1, r_line=0.1, l_line=5e-4) for k in (1, 2, 3)],
     )
-    cfg = small_scenario(network=network, load_profiles={})
-    cfg.attacks = [AttackSpec(victim=2, source=3, start=0.02, end=0.05, bias=150.0)]
-    trace = run_scenario(cfg)
-    assert [trace.models[i].n for i in (1, 2, 3, 4)] == [3, 4, 4, 3]
-    n_steps = trace.times.shape[0] - 1
-    u_x, p_ref = {}, {}
-    for i, model in trace.models.items():
-        u_x[i] = np.column_stack(
-            [np.full(n_steps, network.buses[i - 1].v_source_nominal), trace.comms[i][:-1]]
-        )
-        xh_ref, res_ref, p_ref[i], _ = observer_loop(
-            model, trace.y[i], u_x[i], cfg.freeze_gains, cfg.freeze_tol, propagate
-        )
-        assert np.array_equal(trace.x_hat[i], xh_ref)
-        assert np.array_equal(trace.residuals[i], res_ref)
-        sigma_ref = np.sqrt(np.diag(model.c @ p_ref[i] @ model.c.T + model.r))
-        assert np.array_equal(trace.sigmas[i], sigma_ref)
-    # the final covariances, from the engine run on each group directly
-    for group in ([1, 4], [2, 3]):
-        y = np.stack([trace.y[i] for i in group])
-        _, p_end = _run_observer(
-            [trace.models[i] for i in group],
-            y,
-            np.stack([u_x[i] for i in group]),
-            list(np.empty_like(y)),
-            cfg,
-        )
-        for j, i in enumerate(group):
-            assert np.array_equal(p_end[j], p_ref[i])
+    runs = []
+
+    def recorded(model, y, *args):
+        x_hat, p_end = _run_observer(model, y, *args)
+        runs.append((model.agent_id, len(y), p_end))
+        return x_hat, p_end
+
+    monkeypatch.setattr(sim, "_run_observer", recorded)
+    cases = (
+        (path, [3, 4, 4, 3], [[1, 4], [2, 3]]),
+        (heterogeneous_network(), [4, 4, 4], [[1], [2], [3]]),
+    )
+    for network, sizes, groups in cases:
+        cfg = small_scenario(network=network, load_profiles={})
+        cfg.attacks = [AttackSpec(victim=2, source=3, start=0.02, end=0.05, bias=150.0)]
+        runs.clear()
+        trace = run_scenario(cfg)
+        assert [model.n for model in trace.models.values()] == sizes
+        n_steps = trace.times.shape[0] - 1
+        p_ref = {}
+        for i, model in trace.models.items():
+            nominal = network.buses[i - 1].v_source_nominal
+            u_x = np.column_stack([np.full(n_steps, nominal), trace.comms[i][:-1]])
+            xh_ref, res_ref, p_ref[i], _ = observer_loop(
+                model, trace.y[i], u_x, cfg.freeze_gains, cfg.freeze_tol, propagate
+            )
+            assert np.array_equal(trace.x_hat[i], xh_ref)
+            assert np.array_equal(trace.residuals[i], res_ref)
+            sigma_ref = np.sqrt(np.diag(model.c @ p_ref[i] @ model.c.T + model.r))
+            assert np.array_equal(trace.sigmas[i], sigma_ref)
+        # one engine run per group, named by its first agent, and the
+        # final covariance it returns
+        assert [run[:2] for run in runs] == [(group[0], len(group)) for group in groups]
+        for (_, _, p_end), group in zip(runs, groups):
+            for i in group:
+                assert np.array_equal(p_end, p_ref[i])
 
 
 def test_singular_plant_has_no_steady_start():
@@ -724,6 +770,62 @@ def test_validate_warmup_sigma_needs_window():
         (
             lambda c: setattr(c, "seeds", Seeds(root=0, load={2: -1})),
             r"seeds.load\[2\] must be an integer >= 0",
+        ),
+        (lambda c: setattr(c, "warmup", -1e-4), "warmup must be >= 0"),
+        (lambda c: setattr(c, "horizon", float("nan")), "horizon must be finite"),
+        (
+            lambda c: setattr(c, "freeze_tol", float("nan")),
+            "freeze_tol must be finite and >= 0, got nan",
+        ),
+        (
+            lambda c: setattr(c, "freeze_tol", -1.0),
+            "freeze_tol must be finite and >= 0, got -1.0",
+        ),
+        (
+            lambda c: c.load_profiles.__setitem__(
+                1, [LoadSegment(t_start=0.0, kind="step", level=1.0)]
+            ),
+            r"load_profiles\[1\]\[0\].kind must be one of",
+        ),
+        (
+            lambda c: c.load_profiles.__setitem__(
+                1, [LoadSegment(t_start=0.0, kind="random_walk", walk_std=-1.0)]
+            ),
+            r"load_profiles\[1\]\[0\].walk_std must be finite and >= 0",
+        ),
+        (
+            lambda c: c.load_profiles.__setitem__(
+                1,
+                [
+                    LoadSegment(t_start=0.0, level=1.0),
+                    LoadSegment(t_start=0.05, level=2.0),
+                ],
+            ),
+            r"load_profiles\[1\]\[1\].t_start must lie before the horizon",
+        ),
+        (
+            lambda c: c.source_schedule.__setitem__(
+                1, [SourceStep(t_start=0.0, volts=float("inf"))]
+            ),
+            r"source_schedule\[1\]\[0\].volts must be finite",
+        ),
+        (
+            lambda c: c.attacks.append(
+                AttackSpec(victim=9, source=2, start=0.0, end=0.01, bias=1.0)
+            ),
+            r"attacks\[0\].victim: unknown bus id 9",
+        ),
+        (
+            lambda c: c.attacks.append(
+                AttackSpec(victim=1, source=9, start=0.0, end=0.01, bias=1.0)
+            ),
+            r"attacks\[0\].source: unknown bus id 9",
+        ),
+        (
+            lambda c: c.attacks.append(
+                AttackSpec(victim=1, source=2, start=0.0, end=0.01, bias=float("nan"))
+            ),
+            r"attacks\[0\].bias must be finite",
         ),
     ],
 )

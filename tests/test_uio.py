@@ -12,7 +12,6 @@ from dcmg import sim
 from dcmg.netmodel import partition_agent
 from dcmg.sim import ScenarioConfig
 from dcmg.uio import (
-    AgentBatch,
     AgentModel,
     discretize_agent,
     gain_step,
@@ -166,14 +165,13 @@ def test_singular_innovation_detected():
     ],
 )
 def test_batch_failure_names_the_agent(break_agent_2, message):
-    # only the second agent of a two-agent batch fails
+    # the failure names the model's agent
     healthy = toy_model(np.eye(2), np.zeros((2, 1)), np.eye(2))
-    model_2, p_2 = break_agent_2(
+    model, p = break_agent_2(
         dataclasses.replace(healthy, agent_id=2), np.zeros((2, 2))
     )
-    batch = AgentBatch.of([healthy, model_2])
     with pytest.raises(SingularInnovation, match=message):
-        gain_step(batch, np.stack([np.zeros((2, 2)), p_2]))
+        gain_step(model, p)
 
 
 def test_gain_step_shape_checks(agent_models):
@@ -195,9 +193,9 @@ def run_observer(model, y, u_x, freeze_gains):
     on a group of one agent."""
     res = np.empty_like(y)
     x_hat, p = sim._run_observer(
-        [model], y[None], u_x[None], [res], ScenarioConfig(freeze_gains=freeze_gains)
+        model, y[None], u_x[None], [res], ScenarioConfig(freeze_gains=freeze_gains)
     )
-    return x_hat[0], res, p[0]
+    return x_hat[0], res, p
 
 
 def test_zero_everything_stays_zero(agent_models):
