@@ -21,6 +21,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dcmg.cli import (  # noqa: E402
+    RUN_ERRORS,
     config_digest,
     format_report,
     load_config,
@@ -70,11 +71,13 @@ def main() -> int:
     print(f"scenario {args.scenario}")
     print(f"digest   {config_digest(config)}")
 
-    t0 = time.perf_counter()
-    trace = run_scenario(config)
-    wall = time.perf_counter() - t0
-
-    report = write_artifacts(config, trace, wall, args.out)
+    try:
+        t0 = time.perf_counter()
+        trace = run_scenario(config)
+        report = write_artifacts(config, trace, time.perf_counter() - t0, args.out)
+    except RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(format_report(report))
 
     print(f"agent-1 residual means in sigmas ({', '.join(trace.models[1].labels)}):")

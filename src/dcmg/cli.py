@@ -33,6 +33,9 @@ from .sim import (
     validate_config,
 )
 
+# what a valid scenario can raise at run time, reported as exit 1
+RUN_ERRORS = (DcmgError, np.linalg.LinAlgError, OSError, MemoryError)
+
 
 # ---------------------------------------------------------------------------
 # JSON codec: the schema is the config dataclasses themselves.  Every field
@@ -340,7 +343,7 @@ def run(
         t0 = time.perf_counter()
         trace = run_scenario(config)
         report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
-    except (DcmgError, np.linalg.LinAlgError, OSError) as exc:
+    except RUN_ERRORS as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     if not quiet:

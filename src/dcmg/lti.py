@@ -104,42 +104,19 @@ def left_pinv(m: np.ndarray) -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
-def propagate(a: np.ndarray, x0: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """States x_0..x_K of ``x_{k+1} = a x_k + drive_k``.
-
-    ``a`` is (..., n, n), ``x0`` (..., n) and ``drive`` (..., K, n) with the
-    same leading batch axes; returns (..., K + 1, n).  The steps run as a
-    blocked prefix scan (Blelloch 1990; Martin & Cundy 2018): each block of
-    SCAN_BLOCK steps folds ``a x_start`` into its first drive row and then
-    makes log2(SCAN_BLOCK) doubling passes ``y[s:] += y[:-s] (a^s)^T``, so
-    only the powers a^(2^j) are ever formed.  Inputs are not modified.
-    """
-    a = np.asarray(a, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    drive = np.asarray(drive, dtype=float)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise NonSquare(f"a must be (..., n, n), got shape {a.shape}")
-    n = a.shape[-1]
-    batch = a.shape[:-2]
-    if x0.shape != batch + (n,):
-        raise DimensionMismatch(f"x0 must have shape {batch + (n,)}, got {x0.shape}")
-    if drive.ndim != a.ndim or drive.shape[:-2] != batch or drive.shape[-1] != n:
-        raise DimensionMismatch(
-            f"drive must have shape {batch + ('K', n)}, got {drive.shape}"
-        )
-    n_steps = drive.shape[-2]
-    out = np.empty(batch + (n_steps + 1, n))
-    out[..., 0, :] = x0
-    out[..., 1:, :] = drive
-    propagate_into(a, out)
-    return out
-
-
 def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
-    """:func:`propagate` in place: ``out`` (..., K + 1, n) holds x_0 in row
-    0 and drive_k in row k + 1 on entry, and x_0..x_K on return.  A 1x1
-    ``a`` scales every column of ``out``, so n scalar systems that share
-    it run as one call.  Shapes are the caller's to check."""
+    """States x_0..x_K of ``x_{k+1} = a x_k + drive_k``, in place.
+
+    ``out`` (..., K + 1, n) holds x_0 in row 0 and drive_k in row k + 1 on
+    entry, and x_0..x_K on return.  ``a`` is (n, n), shared by every index
+    of the leading axes of ``out``, or (..., n, n) with the same leading
+    axes; it is not modified.  A 1x1 ``a`` scales every column of
+    ``out``, so n scalar systems that share it run as one call.  The
+    steps run as a blocked prefix scan (Blelloch 1990; Martin & Cundy
+    2018): each block of SCAN_BLOCK steps folds ``a x_start`` into its
+    first drive row and then makes log2(SCAN_BLOCK) doubling passes
+    ``y[s:] += y[:-s] (a^s)^T``, so only the powers a^(2^j) are ever
+    formed.  Shapes are the caller's to check."""
     n_steps = out.shape[-2] - 1
     # a batch of scalar systems multiplies by broadcasting, several times
     # faster than numpy's stacked matmul over 1x1 matrices

@@ -37,9 +37,11 @@ bytes, the group leaves with the period's gains, stepped once more, and
 no further ``gain_step`` is made.  Either way the rest of the group's
 horizon is a periodic linear recursion in z (period 1 for frozen gains),
 which all its agents run together as one lifted scan,
-``lti.propagate_periodic_into``.  The plant and the metered layer step
-their linear recursions with ``lti.propagate``.  A plant state that
-overflows raises ``NonFinite``.
+``lti.propagate_periodic_into``.  The plant's series and each group's
+metered-layer series are formed in place, x_0 and the drive rows written
+straight into the state array, which ``lti.propagate_into`` then scans;
+a group's metered layer and measurements read its one model.  A plant
+state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -61,7 +63,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh, propagate, propagate_periodic_into
+from .lti import discretize_zoh, propagate_into, propagate_periodic_into
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
 
@@ -240,6 +242,13 @@ def validate_config(config: ScenarioConfig) -> None:
             f"horizon must cover at least one step, got {config.horizon}"
         )
     n_steps = step_index(config.horizon, config.ts, "horizon")
+    # numpy's largest array spans intp-max bytes
+    if n_steps + 1 > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValidationError(
+            f"horizon = {config.horizon!r} at ts = {config.ts!r} makes "
+            f"{config.horizon / config.ts:.3g} steps, more than one float64 "
+            "series can hold"
+        )
     if config.warmup < 0.0:
         raise ValidationError(f"warmup must be >= 0, got {config.warmup}")
     k_warm = step_index(config.warmup, config.ts, "warmup")
@@ -570,12 +579,16 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
 
     # monolithic physical layer: exported state and boundary voltages; an
     # overflow is reported below as the step it reached, not as warnings
+    x = np.empty((n_steps + 1, gm.n_state))
     with np.errstate(over="ignore", invalid="ignore"):
         if config.initial_state == "steady":
-            x0 = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
+            x[0] = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
         else:
-            x0 = np.zeros(gm.n_state)
-        x = propagate(plant.a, x0, u @ plant.b.T + d @ plant.e.T + w)
+            x[0] = 0.0
+        np.matmul(u, plant.b.T, out=x[1:])
+        x[1:] += d @ plant.e.T
+        x[1:] += w
+        propagate_into(plant.a, x)
     if not np.isfinite(x).all():
         k = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise NonFinite(
@@ -588,38 +601,33 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     # held but never consumed, and repeats the last setpoint
     inputs, x_local, y = [], [], []
     for group in groups:
-        members = [models[i] for i in group]
+        model = models[group[0]]
         buses = np.array(group) - 1
-        nbrs = [[cp.neighbor - 1 for cp in model.couplings] for model in members]
+        nbrs = [[cp.neighbor - 1 for cp in models[i].couplings] for i in group]
         block = np.empty((len(group), n_steps + 1, 1 + len(nbrs[0])))
         block[:, :n_steps, 0] = u[:, buses].T
         block[:, n_steps, 0] = u[-1, buses]
         block[..., 1:] = x[:, nbrs].swapaxes(0, 1)
-        # metered layer: each agent's sampled-data reality, advanced by its
-        # own model under the true (held) boundary voltages, sharing the
-        # physical noise draws in the agent's orientation
-        a, b_x, e, index, sign = (
-            np.stack([getattr(model, name) for model in members])
-            for name in ("a", "b_x", "e", "state_index", "state_sign")
-        )
-        drive = block[:, :n_steps] @ b_x.swapaxes(1, 2)
-        drive += d[:, buses].T[..., None] @ e.swapaxes(1, 2)
-        drive += w[:, index].swapaxes(0, 1) * sign[:, None]
-        loc = propagate(a, x[0, index] * sign, drive)
-        del drive
+        # metered layer: each agent's sampled-data reality, advanced by the
+        # group's model under the true (held) boundary voltages, sharing the
+        # physical noise draws in the agent's own orientation
+        index = np.stack([models[i].state_index for i in group])
+        sign = np.stack([models[i].state_sign for i in group])
+        loc = np.empty((len(group), n_steps + 1, model.n))
+        loc[:, 0] = x[0, index] * sign
+        np.matmul(block[:, :n_steps], model.b_x.T, out=loc[:, 1:])
+        loc[:, 1:] += d[:, buses].T[..., None] @ model.e.T
+        loc[:, 1:] += w[:, index].swapaxes(0, 1) * sign[:, None]
+        propagate_into(model.a, loc)
         x_local.append(loc)
-        y_block = np.empty((len(group), n_steps + 1, members[0].m))
-        for j, (i, model) in enumerate(zip(group, members)):
-            if config.noise.inject:
-                v = sample_noise(
+        y_block = loc @ model.c.T
+        if config.noise.inject:
+            for j, i in enumerate(group):
+                y_block[j] += sample_noise(
                     _stream(config.seeds, _TAG_MEASUREMENT, i),
                     np.diag(model.r),
                     size=n_steps + 1,
                 )
-            else:
-                v = 0.0
-            np.matmul(loc[j], model.c.T, out=y_block[j])
-            y_block[j] += v
         y.append(y_block)
         # the metered layer has read the true voltages; the observers and
         # comms see what was sent, falsified by the attacks

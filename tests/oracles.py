@@ -116,9 +116,10 @@ def observer_loop(model, y, u_x, freeze_gains, freeze_tol, propagate):
 
     The gain update is :func:`observer_gain_step`.  The gains freeze
     once |delta trace P| < freeze_tol * max(1, |trace P|), after which the
-    rest of the z-recursion runs as one call of ``propagate(a, x0,
-    drive)``, the state propagation the simulator uses (passed in, so
-    that nothing is imported from the package).
+    rest of the z-recursion runs in place: z_k and the drive rows are
+    written into z[k:], which one call of ``propagate(a, out)`` then
+    turns into the states, as the simulator's in-place propagation does
+    (passed in, so that nothing is imported from the package).
     """
     h, t = model.structural
     n, n_steps = model.n, u_x.shape[0]
@@ -133,7 +134,8 @@ def observer_loop(model, y, u_x, freeze_gains, freeze_tol, propagate):
         f, k_sum, p = observer_gain_step(model, p)
         tr = np.trace(p)
         if freeze_gains and abs(tr - tr_prev) < freeze_tol * max(1.0, abs(tr)):
-            z[k:] = propagate(f, z[k], tbu[k:] + y[k:n_steps] @ k_sum.T)
+            z[k + 1 :] = tbu[k:] + y[k:n_steps] @ k_sum.T
+            propagate(f, z[k:])
             frozen_at = k
             break
         tr_prev = tr

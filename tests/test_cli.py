@@ -356,6 +356,46 @@ def test_huge_time_exits_2_naming_the_field(tmp_path, where, keys):
     assert err.startswith("error:") and where in err
 
 
+def _unallocatable(ts: float, horizon: float) -> dict:
+    """The bundled scenario at ``ts`` and ``horizon``, its load step, attacks
+    and warm-up moved onto the grid at t = 0.5 (or dropped)."""
+    scn = _edited(
+        _BUNDLED,
+        [
+            (("ts",), ts),
+            (("horizon",), horizon),
+            (("warmup",), 0.5),
+            (("attacks",), []),
+        ],
+    )
+    for segments in scn["load_profiles"].values():
+        del segments[1:]
+    return scn
+
+
+def test_unrepresentable_step_count_exits_2_naming_horizon_and_ts(tmp_path):
+    # 2^1000 steps: no float64 series of that length can exist
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_unallocatable(2.0**-1000, 1.0)))
+    for validate_only in (True, False):
+        code, out, err = run_cli(path, tmp_path / "out", validate_only=validate_only)
+        assert code == 2 and out == ""
+        assert err.startswith("error: horizon = 1.0 at ts = ")
+        assert "steps, more than one float64 series can hold" in err
+
+
+def test_unallocatable_horizon_exits_1(tmp_path):
+    # 2^59 steps: every series is a few EiB, larger than any address space,
+    # so the first allocation is refused before any memory is touched
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_unallocatable(2.0**-20, 2.0**39)))
+    assert run_cli(path, validate_only=True)[0] == 0
+    code, out, err = run_cli(path, tmp_path / "out")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _nodes(obj, path=()):
     """The key path of every node below ``obj``."""
     if isinstance(obj, dict):
@@ -439,11 +479,9 @@ def test_unwritable_output_exits_1(tmp_path):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "initial_state, where", [("steady", "step 0 (t = 0 s)"), ("zero", "step 63 (t = 0.0063 s)")]
-)
-def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, where):
-    # finite but huge: passes validation, then the plant state overflows
+def _overflowing(initial_state: str) -> dict:
+    """A short bundled scenario, finite but huge: it passes validation,
+    then the plant state overflows."""
     scn = _edited(
         _BUNDLED,
         [
@@ -457,8 +495,15 @@ def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, wher
     )
     for segments in scn["load_profiles"].values():
         del segments[1:]
+    return scn
+
+
+@pytest.mark.parametrize(
+    "initial_state, where", [("steady", "step 0 (t = 0 s)"), ("zero", "step 63 (t = 0.0063 s)")]
+)
+def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, where):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(scn))
+    path.write_text(json.dumps(_overflowing(initial_state)))
     assert run_cli(path, validate_only=True)[0] == 0
     code, out, err = run_cli(path, tmp_path / "out")
     assert code == 1 and out == ""
@@ -754,6 +799,21 @@ def test_run_threebus_script(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    # valid, then the plant state overflows at run time
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_overflowing("steady")))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(huge), "--out", str(tmp_path / "huge_out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: plant state is not finite from step 0 (t = 0 s); "
+        "a network parameter or input is too large\n"
+    )
 
 
 def test_count_lines_script(tmp_path):

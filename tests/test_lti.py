@@ -15,7 +15,6 @@ from dcmg.lti import (
     discretize_zoh,
     left_pinv,
     matrix_exponential,
-    propagate,
     propagate_into,
     propagate_periodic_into,
 )
@@ -150,7 +149,7 @@ def test_zoh_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# propagate
+# propagate_into
 
 
 def stable_matrix(rng, batch, n, radius):
@@ -180,6 +179,7 @@ def stable_matrix(rng, batch, n, radius):
 @settings(max_examples=40, deadline=None)
 @given(
     batch=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    shared=st.booleans(),
     n=st.integers(min_value=1, max_value=6),
     n_steps=st.sampled_from(
         [0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7]
@@ -187,19 +187,19 @@ def stable_matrix(rng, batch, n, radius):
     radius=st.floats(min_value=0.0, max_value=0.999),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_propagate_matches_loop(batch, n, n_steps, radius, seed):
+def test_propagate_matches_loop(batch, shared, n, n_steps, radius, seed):
+    # ``shared``: one (n, n) ``a`` for every index of the batch axes
     rng = np.random.default_rng(seed)
-    a = stable_matrix(rng, batch, n, radius)
+    a = stable_matrix(rng, () if shared else batch, n, radius)
+    a_before = a.copy()
     x0 = rng.standard_normal(batch + (n,)) * 1e4
     drive = rng.standard_normal(batch + (n_steps, n)) * 1e2
-    inputs = [arr.copy() for arr in (a, x0, drive)]
-    out = propagate(a, x0, drive)
-    ref = propagate_loop(a, x0, drive)
-    assert out.shape == batch + (n_steps + 1, n)
+    out = np.concatenate([x0[..., None, :], drive], axis=-2)
+    propagate_into(a, out)
+    ref = propagate_loop(np.broadcast_to(a, batch + (n, n)), x0, drive)
     assert np.array_equal(out[..., 0, :], x0)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    for before, after in zip(inputs, (a, x0, drive)):
-        assert np.array_equal(before, after)
+    assert np.array_equal(a, a_before)
 
 
 @pytest.mark.parametrize("batch", [(1,), (3,)])
@@ -224,17 +224,6 @@ def test_propagate_periodic_matches_loop(period, batch):
             lti_out = np.concatenate([x0[..., None, :], drive], axis=-2)
             propagate_into(a[..., 0, :, :], lti_out)
             assert np.array_equal(out, lti_out)
-
-
-def test_propagate_rejects_bad_shapes():
-    with pytest.raises(NonSquare):
-        propagate(np.zeros((2, 3)), np.zeros(2), np.zeros((4, 2)))
-    with pytest.raises(DimensionMismatch):
-        propagate(np.eye(2), np.zeros(3), np.zeros((4, 2)))
-    with pytest.raises(DimensionMismatch):
-        propagate(np.eye(2), np.zeros(2), np.zeros((4, 3)))
-    with pytest.raises(DimensionMismatch):
-        propagate(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), np.zeros((2, 4, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import dcmg.sim as sim
 from dcmg.errors import NegativeVariance, ValidationError
-from dcmg.lti import propagate
+from dcmg.lti import propagate_into
 from dcmg.netmodel import LineParams, NetworkSpec, build_global, partition_agent
 from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
@@ -319,7 +319,7 @@ def test_batched_observer_matches_per_agent_loop(
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate
+                models[j], y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate_into
             )
             assert np.array_equal(x_hat[row], xh_ref)
             assert np.array_equal(res[j], res_ref)
@@ -467,7 +467,7 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, freeze_tol, propagate
+                models[j], y[j], u_x[j], freeze_gains, freeze_tol, propagate_into
             )
             bound = 1e-13 * np.max(np.abs(xh_ref))
             assert np.max(np.abs(x_hat[row] - xh_ref)) <= bound
@@ -512,7 +512,7 @@ def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
             nominal = network.buses[i - 1].v_source_nominal
             u_x = np.column_stack([np.full(n_steps, nominal), trace.comms[i][:-1]])
             xh_ref, res_ref, p_ref[i], _ = observer_loop(
-                model, trace.y[i], u_x, cfg.freeze_gains, cfg.freeze_tol, propagate
+                model, trace.y[i], u_x, cfg.freeze_gains, cfg.freeze_tol, propagate_into
             )
             assert np.array_equal(trace.x_hat[i], xh_ref)
             assert np.array_equal(trace.residuals[i], res_ref)
