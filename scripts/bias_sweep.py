@@ -9,6 +9,9 @@ records whether agent 1 latched an alarm on the I1_3 channel, how long
 after onset, and the peak EWMA statistic.  Small biases drown in the
 line-current noise floor; the table shows where the detector's
 sensitivity actually starts.
+
+A malformed bias list or an invalid scenario (say, a negative seed)
+prints one ``error:`` line and exits 2; a run or write that fails exits 1.
 """
 
 import argparse
@@ -19,15 +22,28 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dcmg.cli import RUN_ERRORS  # noqa: E402
 from dcmg.detect import ewma_statistic  # noqa: E402
+from dcmg.errors import ValidationError  # noqa: E402
 from dcmg.presets import threebus_attack_scenario  # noqa: E402
-from dcmg.sim import AttackSpec, LoadSegment, run_scenario, step_index  # noqa: E402
+from dcmg.sim import (  # noqa: E402
+    AttackSpec,
+    LoadSegment,
+    run_scenario,
+    step_index,
+    validate_config,
+)
 
 ONSET = 1.0
 HORIZON = 3.0
 
 
-def run_once(bias: float, seed: int):
+def bias_list(text: str) -> list[float]:
+    """Comma-separated volts; argparse reports a bad entry as a usage error."""
+    return [float(b) for b in text.split(",")]
+
+
+def scenario(bias: float, seed: int):
     config = threebus_attack_scenario()
     config.horizon = HORIZON
     config.seeds.root = seed
@@ -37,6 +53,10 @@ def run_once(bias: float, seed: int):
     config.attacks = [
         AttackSpec(victim=1, source=3, start=ONSET, end=HORIZON, bias=bias)
     ]
+    return config
+
+
+def run_once(config):
     trace = run_scenario(config)
     events = [ev for ev in trace.alarms if ev.agent == 1 and ev.accused_neighbor == 3]
     latency = events[0].time - ONSET if events else float("nan")
@@ -51,29 +71,41 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--biases",
+        type=bias_list,
         default="10,20,30,50,75,100,150,200,300",
         help="comma-separated bias magnitudes in volts",
     )
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args()
-    biases = [float(b) for b in args.biases.split(",")]
+
+    configs = [scenario(bias, args.seed) for bias in args.biases]
+    try:
+        for config in configs:
+            validate_config(config)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = []
     print(f"{'bias V':>8} {'detected':>9} {'latency s':>10} {'peak EWMA':>10}")
-    for bias in biases:
-        latency, peak, hit = run_once(bias, args.seed)
-        verdict = "yes" if hit else "no"
-        lat = f"{latency:.4f}" if np.isfinite(latency) else "-"
-        print(f"{bias:8.0f} {verdict:>9} {lat:>10} {peak:10.2f}")
-        rows.append((bias, hit, latency, peak))
+    try:
+        for bias, config in zip(args.biases, configs):
+            latency, peak, hit = run_once(config)
+            verdict = "yes" if hit else "no"
+            lat = f"{latency:.4f}" if np.isfinite(latency) else "-"
+            print(f"{bias:8.0f} {verdict:>9} {lat:>10} {peak:10.2f}")
+            rows.append((bias, hit, latency, peak))
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("bias_volts,detected,latency_seconds,peak_ewma\n")
-            for bias, hit, latency, peak in rows:
-                fh.write(f"{bias:g},{hit},{latency:.17g},{peak:.17g}\n")
-        print(f"wrote {args.out}")
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write("bias_volts,detected,latency_seconds,peak_ewma\n")
+                for bias, hit, latency, peak in rows:
+                    fh.write(f"{bias:g},{hit},{latency:.17g},{peak:.17g}\n")
+            print(f"wrote {args.out}")
+    except RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -73,5 +73,4 @@ def threebus_attack_scenario() -> ScenarioConfig:
             kappa=5.0, ewma_alpha=0.05, persistence=10, sigma_source="innovation"
         ),
         freeze_gains=True,
-        freeze_tol=1e-12,
     )

@@ -64,6 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .lti import discretize_zoh, propagate_into, propagate_periodic_into
+from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
 
@@ -73,6 +74,9 @@ _TAG_LOAD = 2
 
 LOAD_KINDS = ("constant", "ramp", "random_walk")
 INITIAL_STATES = ("steady", "zero")
+# with ``freeze_gains``, the gains freeze on the first step that moves the
+# covariance trace by less than this fraction of max(1, |trace|)
+FREEZE_RTOL = 1e-12
 
 
 @dataclass
@@ -122,9 +126,9 @@ class NoiseConfig:
     values in the observer/gain design but draws no noise in the plant.
     """
 
-    q_state: float = 10.0
-    r_bus: float = 100.0
-    r_line: float = 10.0
+    q_state: float = DEFAULT_PROCESS_VAR
+    r_bus: float = DEFAULT_BUS_MEAS_VAR
+    r_line: float = DEFAULT_LINE_MEAS_VAR
     inject: bool = True
 
 
@@ -156,7 +160,6 @@ class ScenarioConfig:
     attacks: list[AttackSpec] = field(default_factory=list)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     freeze_gains: bool = True
-    freeze_tol: float = 1e-12
 
 
 @dataclass
@@ -259,10 +262,6 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.initial_state not in INITIAL_STATES:
         raise ValidationError(
             f"initial_state must be one of {INITIAL_STATES}, got {config.initial_state!r}"
-        )
-    if not (math.isfinite(config.freeze_tol) and config.freeze_tol >= 0.0):
-        raise ValidationError(
-            f"freeze_tol must be finite and >= 0, got {config.freeze_tol}"
         )
 
     for name in ("q_state", "r_bus", "r_line"):
@@ -408,7 +407,7 @@ def _run_observer(
     y: np.ndarray,
     u_x: np.ndarray,
     residuals: list[np.ndarray],
-    config: ScenarioConfig,
+    freeze_gains: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the observers of a group of agents whose models all equal
     ``model`` over the whole horizon.
@@ -429,7 +428,7 @@ def _run_observer(
     ``lti.propagate_periodic_into``:
 
     - with ``freeze_gains``, the gains freeze once the covariance trace
-      stops moving (``_frozen``): period 1, that step's gains;
+      stops moving (``_frozen``, ``FREEZE_RTOL``): period 1, that step's gains;
     - P' depends on P alone, so once P equals an earlier one byte for
       byte, every later step repeats the steps between the two.  A dict
       maps the hash of the bytes of each P to its step, so the first
@@ -462,7 +461,7 @@ def _run_observer(
             # a new P, or one whose hash collides with an earlier P's
             seen[hash(data)] = k
             (f, k_sum, p_next), steps = steps[0], steps[:1]
-            if not _frozen(p, p_next, config):
+            if not (freeze_gains and _frozen(p, p_next)):
                 p = p_next
                 z[:, k + 1] = (
                     (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
@@ -487,14 +486,12 @@ def _run_observer(
     return z, p
 
 
-def _frozen(p: np.ndarray, p_next: np.ndarray, config: ScenarioConfig) -> bool:
-    """Whether the gains freeze on the step from ``p`` to ``p_next``: with
-    ``freeze_gains``, once the covariance trace moved by less than
-    freeze_tol * max(1, |trace|)."""
-    if not config.freeze_gains:
-        return False
+def _frozen(p: np.ndarray, p_next: np.ndarray) -> bool:
+    """Whether the step from ``p`` to ``p_next`` moved the covariance trace
+    by less than FREEZE_RTOL * max(1, |trace|), which freezes the gains
+    when ``freeze_gains`` is on."""
     tr = np.trace(p_next)
-    return abs(tr - np.trace(p)) < config.freeze_tol * max(1.0, abs(tr))
+    return abs(tr - np.trace(p)) < FREEZE_RTOL * max(1.0, abs(tr))
 
 
 def _gain_steps(model: AgentModel, p: np.ndarray, count: int) -> list[tuple]:
@@ -659,7 +656,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             y_block,
             block,
             [residuals[i] for i in group],
-            config,
+            config.freeze_gains,
         )
         x_hat.append(xh)
         p_end.update(dict.fromkeys(group, p_group))

@@ -81,7 +81,6 @@ def gnarly_scenario() -> ScenarioConfig:
             kappa=4.0, ewma_alpha=0.2, persistence=3, sigma_source="warmup"
         ),
         freeze_gains=False,
-        freeze_tol=1e-10,
     )
 
 
@@ -123,7 +122,7 @@ def test_digest_is_stable_and_sensitive():
 def test_bundled_scenario_is_canonical():
     config = threebus_attack_scenario()
     assert cli.config_digest(config) == (
-        "89abe8f6c1b01b06a224ac4b1308669f1d3baffd312afa5e5ce85f21fd248385"
+        "3c9cd39a855ea5eb5f6ca3b3a1b08e098b61dfde8b20ca8a9ec4437160c7da26"
     )
     assert cli.write_config(config).encode() == SCENARIO.read_bytes()
 
@@ -254,6 +253,18 @@ def test_unknown_key_exits_2(tmp_path):
     code, _, err = run_cli(path, tmp_path / "out")
     assert code == 2
     assert "unknown keys" in err
+
+
+def test_retired_freeze_tol_key_exits_2(tmp_path):
+    # the gain-freeze threshold is the fixed sim.FREEZE_RTOL, so a file
+    # that still carries the old key is rejected, naming it
+    obj = json.loads(cli.write_config(mini_scenario()))
+    obj["freeze_tol"] = 1e-12
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err == "error: scenario: unknown keys ['freeze_tol']\n"
 
 
 def test_off_grid_attack_exits_2_naming_the_field(tmp_path):
@@ -814,6 +825,41 @@ def test_run_threebus_script(tmp_path):
         "error: plant state is not finite from step 0 (t = 0 s); "
         "a network parameter or input is too large\n"
     )
+
+
+def test_bias_sweep_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bias_sweep.py"
+
+    def sweep(*args):
+        return subprocess.run(
+            [sys.executable, str(script), *args],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    out = tmp_path / "sweep.csv"
+    proc = sweep("--biases", "150", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^ +150 +yes ", proc.stdout, re.M)
+    header, row = out.read_text().splitlines()
+    assert header == "bias_volts,detected,latency_seconds,peak_ewma"
+    assert row.startswith("150,1,")
+
+    # a bad list fails in argparse, a bad seed in validation: exit 2 and
+    # one error line either way, before any run
+    for args in (["--biases", "abc"], ["--seed", "-1"]):
+        proc = sweep(*args)
+        assert proc.returncode == 2
+        assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    assert proc.stderr == "error: seeds.root must be an integer >= 0, got -1\n"
+
+    # the run succeeds, then the CSV cannot be written
+    proc = sweep("--biases", "150", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_count_lines_script(tmp_path):

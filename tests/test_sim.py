@@ -310,16 +310,15 @@ def test_batched_observer_matches_per_agent_loop(
     y = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps, 3))
     res = np.empty_like(y)
-    cfg = ScenarioConfig(freeze_gains=freeze_gains)
     frozen_at = []
     for group in groups:
         rows = list(group)
         x_hat, p_end = _run_observer(
-            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], cfg
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, cfg.freeze_tol, propagate_into
+                models[j], y[j], u_x[j], freeze_gains, sim.FREEZE_RTOL, propagate_into
             )
             assert np.array_equal(x_hat[row], xh_ref)
             assert np.array_equal(res[j], res_ref)
@@ -371,7 +370,7 @@ def first_repeat_calls(model, n_steps, frozen_at):
 
 
 @pytest.mark.parametrize(
-    "scales, freeze_gains, freeze_tol, n_steps, collide, groups",
+    "scales, freeze_gains, freeze_rtol, n_steps, collide, groups",
     [
         # the unscaled model's P repeats with period 6 from step 100
         pytest.param(
@@ -420,7 +419,7 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
     monkeypatch,
     scales,
     freeze_gains,
-    freeze_tol,
+    freeze_rtol,
     n_steps,
     collide,
     groups,
@@ -457,17 +456,17 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
     y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
     res = np.empty_like(y)
-    cfg = ScenarioConfig(freeze_gains=freeze_gains, freeze_tol=freeze_tol)
+    monkeypatch.setattr(sim, "FREEZE_RTOL", freeze_rtol)
     frozen_at = []
     for group in groups:
         rows = list(group)
         calls.clear()
         x_hat, p_end = _run_observer(
-            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], cfg
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, freeze_tol, propagate_into
+                models[j], y[j], u_x[j], freeze_gains, freeze_rtol, propagate_into
             )
             bound = 1e-13 * np.max(np.abs(xh_ref))
             assert np.max(np.abs(x_hat[row] - xh_ref)) <= bound
@@ -512,7 +511,12 @@ def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
             nominal = network.buses[i - 1].v_source_nominal
             u_x = np.column_stack([np.full(n_steps, nominal), trace.comms[i][:-1]])
             xh_ref, res_ref, p_ref[i], _ = observer_loop(
-                model, trace.y[i], u_x, cfg.freeze_gains, cfg.freeze_tol, propagate_into
+                model,
+                trace.y[i],
+                u_x,
+                cfg.freeze_gains,
+                sim.FREEZE_RTOL,
+                propagate_into,
             )
             assert np.array_equal(trace.x_hat[i], xh_ref)
             assert np.array_equal(trace.residuals[i], res_ref)
@@ -773,14 +777,6 @@ def test_validate_warmup_sigma_needs_window():
         ),
         (lambda c: setattr(c, "warmup", -1e-4), "warmup must be >= 0"),
         (lambda c: setattr(c, "horizon", float("nan")), "horizon must be finite"),
-        (
-            lambda c: setattr(c, "freeze_tol", float("nan")),
-            "freeze_tol must be finite and >= 0, got nan",
-        ),
-        (
-            lambda c: setattr(c, "freeze_tol", -1.0),
-            "freeze_tol must be finite and >= 0, got -1.0",
-        ),
         (
             lambda c: c.load_profiles.__setitem__(
                 1, [LoadSegment(t_start=0.0, kind="step", level=1.0)]

@@ -10,7 +10,6 @@ from dcmg.errors import (
 )
 from dcmg import sim
 from dcmg.netmodel import partition_agent
-from dcmg.sim import ScenarioConfig
 from dcmg.uio import (
     AgentModel,
     discretize_agent,
@@ -192,9 +191,7 @@ def run_observer(model, y, u_x, freeze_gains):
     """(x_hat, residuals, final P) of the simulator's observer engine run
     on a group of one agent."""
     res = np.empty_like(y)
-    x_hat, p = sim._run_observer(
-        model, y[None], u_x[None], [res], ScenarioConfig(freeze_gains=freeze_gains)
-    )
+    x_hat, p = sim._run_observer(model, y[None], u_x[None], [res], freeze_gains)
     return x_hat[0], res, p
 
 
