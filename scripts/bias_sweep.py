@@ -12,9 +12,12 @@ sensitivity actually starts.
 
 A malformed bias list or an invalid scenario (say, a negative seed)
 prints one ``error:`` line and exits 2; a run or write that fails exits 1.
+The CSV is opened before the first run, so an unwritable ``--out`` fails
+before any bias is simulated.
 """
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -87,25 +90,24 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    print(f"{'bias V':>8} {'detected':>9} {'latency s':>10} {'peak EWMA':>10}")
     try:
-        for bias, config in zip(args.biases, configs):
-            latency, peak, hit = run_once(config)
-            verdict = "yes" if hit else "no"
-            lat = f"{latency:.4f}" if np.isfinite(latency) else "-"
-            print(f"{bias:8.0f} {verdict:>9} {lat:>10} {peak:10.2f}")
-            rows.append((bias, hit, latency, peak))
-
-        if args.out:
-            with open(args.out, "w") as fh:
+        # opened before the first run, so an unwritable path fails at once
+        with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+            print(f"{'bias V':>8} {'detected':>9} {'latency s':>10} {'peak EWMA':>10}")
+            if fh:
                 fh.write("bias_volts,detected,latency_seconds,peak_ewma\n")
-                for bias, hit, latency, peak in rows:
+            for bias, config in zip(args.biases, configs):
+                latency, peak, hit = run_once(config)
+                verdict = "yes" if hit else "no"
+                lat = f"{latency:.4f}" if np.isfinite(latency) else "-"
+                print(f"{bias:8.0f} {verdict:>9} {lat:>10} {peak:10.2f}")
+                if fh:
                     fh.write(f"{bias:g},{hit},{latency:.17g},{peak:.17g}\n")
-            print(f"wrote {args.out}")
     except RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 

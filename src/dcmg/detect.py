@@ -30,8 +30,9 @@ class DetectorConfig:
         s <- (1 - ewma_alpha) s + ewma_alpha |r| / sigma
     and latches an alarm once s >= kappa holds for ``persistence``
     consecutive samples.  ``sigma_source`` selects where sigma comes from:
-    the converged innovation covariance ("innovation") or the empirical
-    residual spread over the warm-up window ("warmup").
+    the residual covariance C Pi C^T + M R M^T of the settled observer
+    ("innovation", see ``dcmg.uio``) or the empirical residual spread over
+    the warm-up window ("warmup").
     """
 
     kappa: float = 5.0

@@ -135,37 +135,3 @@ def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
             y[..., s:, :] += prod(y[..., :-s, :], p_t)
             s *= 2
 
-
-def propagate_periodic_into(a: np.ndarray, out: np.ndarray) -> None:
-    """:func:`propagate_into` for the periodic recursion
-    ``x_{k+1} = a_{k mod L} x_k + drive_k``, with ``a`` (..., L, n, n).
-
-    The recursion is lifted to super-steps of L (Meyer & Burrus 1975,
-    IEEE Trans. Circuits Syst. 22(3); Bittanti & Colaneri, *Periodic
-    Systems*, 2009).  One pass over the L phases, batched over the
-    super-steps, turns each super-step's drive rows into its response from
-    a zero state; the super-states x_{jL} then follow the LTI recursion
-    ``x_{(j+1)L} = Phi x_{jL} + w_j`` with ``Phi = a_{L-1} ... a_0``, run
-    by :func:`propagate_into` over the rows 0, L, 2L, ...; and one batched
-    product per phase i adds ``(a_{i-1} ... a_0) x_{jL}`` to the rows
-    between.  Steps after the last whole super-step run one at a time.
-    With L = 1 this is ``propagate_into(a[..., 0, :, :], out)``.  Shapes
-    are the caller's to check."""
-    period = a.shape[-3]
-    whole = (out.shape[-2] - 1) // period * period  # steps of whole super-steps
-    a_t = np.swapaxes(a, -1, -2)
-    # the drive rows of the whole super-steps, split by phase: w[..., j, i, :]
-    # is row 1 + j L + i of ``out``
-    w = out[..., 1 : 1 + whole, :].reshape(
-        out.shape[:-2] + (whole // period, period, out.shape[-1])
-    )
-    psi_t = [a_t[..., 0, :, :]]  # (a_i ... a_0)^T for i = 0 .. L - 1
-    for i in range(1, period):
-        w[..., i, :] += w[..., i - 1, :] @ a_t[..., i, :, :]
-        psi_t.append(psi_t[-1] @ a_t[..., i, :, :])
-    propagate_into(np.swapaxes(psi_t[-1], -1, -2), out[..., : whole + 1 : period, :])
-    supers = out[..., :whole:period, :]
-    for i in range(1, period):
-        w[..., i - 1, :] += supers @ psi_t[i - 1]
-    for k in range(whole, out.shape[-2] - 1):
-        out[..., k + 1 : k + 2, :] += out[..., k : k + 1, :] @ a_t[..., k - whole, :, :]

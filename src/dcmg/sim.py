@@ -30,18 +30,16 @@ forms its drive from them while they are true, then the attack biases
 are added in place for the observers and ``comms``.  The gain recursion
 reads the model, never the data, so one recursion serves a group's
 observers: every step makes one ``uio.gain_step`` and advances all the
-group's z-recursions together, until the gains freeze.  The recursion is
-a pure function of P, and in float64 it soon repeats itself bit for bit;
-on the step P first equals an earlier one, found by the hash of its
-bytes, the group leaves with the period's gains, stepped once more, and
-no further ``gain_step`` is made.  Either way the rest of the group's
-horizon is a periodic linear recursion in z (period 1 for frozen gains),
-which all its agents run together as one lifted scan,
-``lti.propagate_periodic_into``.  The plant's series and each group's
-metered-layer series are formed in place, x_0 and the drive rows written
-straight into the state array, which ``lti.propagate_into`` then scans;
-a group's metered layer and measurements read its one model.  A plant
-state that overflows raises ``NonFinite``.
+group's z-recursions together.  The covariance it updates settles at one
+fixed point, and the recursion stops on the first step that moves it by
+at most a tolerance: 4 n eps max|Pi| with ``freeze_gains``, and zero
+(an exact repeat) without it.  The rest of the group's horizon is then
+an LTI recursion in z with that step's gains, which all its agents run
+together as one ``lti.propagate_into``.  The plant's series and each
+group's metered-layer series are formed in place, x_0 and the drive rows
+written straight into the state array, which ``lti.propagate_into`` then
+scans; a group's metered layer and measurements read its one model.  A
+plant state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -63,7 +61,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh, propagate_into, propagate_periodic_into
+from .lti import discretize_zoh, propagate_into
 from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
@@ -74,9 +72,6 @@ _TAG_LOAD = 2
 
 LOAD_KINDS = ("constant", "ramp", "random_walk")
 INITIAL_STATES = ("steady", "zero")
-# with ``freeze_gains``, the gains freeze on the first step that moves the
-# covariance trace by less than this fraction of max(1, |trace|)
-FREEZE_RTOL = 1e-12
 
 
 @dataclass
@@ -415,92 +410,51 @@ def _run_observer(
     ``y`` is (g, K + 1, m) and ``u_x`` (g, K or K + 1, n_u), one row per
     agent of the group (K is read from ``y``; row K of ``u_x`` is unused);
     ``residuals[j]`` receives row j's y - C x^.  Estimates start from the
-    first measurement when C = I (else from zero) with unit covariance, z
-    offset so that x^_0 = z_0 + H y_0.  Returns x_hat (g, K + 1, n),
-    formed in place over z, and the final P (n, n), which the group shares.
+    first measurement, x^_0 = y_0, so z_0 = y_0 - H y_0 and the covariance
+    of eps = T x - z starts at Pi_0 = T R T^T.  Returns x_hat (g, K + 1, n),
+    formed in place over z, and the final Pi (n, n), which the group
+    shares.
 
-    The gain recursion reads the model and P, never the data, so the group
-    runs one recursion on one P: each step makes one ``gain_step`` and
-    advances every row of z with its gains.  Row k + 1 of z holds the
-    drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  The
-    recursion stops in one of two ways, and the rest of the horizon is
-    then a periodic linear recursion in z, run for every row by one
-    ``lti.propagate_periodic_into``:
-
-    - with ``freeze_gains``, the gains freeze once the covariance trace
-      stops moving (``_frozen``, ``FREEZE_RTOL``): period 1, that step's gains;
-    - P' depends on P alone, so once P equals an earlier one byte for
-      byte, every later step repeats the steps between the two.  A dict
-      maps the hash of the bytes of each P to its step, so the first
-      repeat, of step mu on step mu + lambda, is seen as it happens
-      (Knuth, TAOCP Vol. 2, 3.1 ex. 6-7).  The lambda steps are then made
-      again from the current P; if they lead back to it byte for byte,
-      the recursion stops with them, after mu + 2 lambda gain steps in
-      all.  Else (a hash collision) the key moves on to this step.  Every
-      trace pair of the cycle has passed the freeze rule already, so the
-      gains would not freeze later.
-
-    The tail adds the (K1 + K2)_(k mod L) y_k terms to each row.  A
-    period-1 tail gives the same bits as stepping; a longer period
-    reorders the products, and differs from stepping by rounding.
+    The gain recursion reads the model and Pi, never the data, so the
+    group runs one recursion on one Pi: each step makes one ``gain_step``
+    and advances every row of z with its gains.  Row k + 1 of z holds the
+    drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  Pi settles
+    at one fixed point, and the recursion stops on the first step whose
+    update moves it by at most a tolerance, max|Pi' - Pi| <= tol: with
+    ``freeze_gains``, tol = 4 n eps max|Pi| (eps the float64 machine
+    epsilon); without it, tol = 0, so Pi' must equal Pi bit for bit.  The
+    rest of the horizon then runs with that step's gains, for every row,
+    as one ``lti.propagate_into``, which gives the same bits as stepping.
+    A recursion that never settles steps to the horizon.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
-    n = model.n
     h, t = model.structural
-    x0 = y[:, 0] if np.array_equal(model.c, np.eye(n)) else np.zeros((g, n))
-    z = np.empty((g, n_steps + 1, n))
-    z[:, 0] = x0 - (h @ y[:, 0, :, None])[..., 0]
+    z = np.empty((g, n_steps + 1, model.n))
+    z[:, 0] = y[:, 0] - (h @ y[:, 0, :, None])[..., 0]
     np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
-    p = np.eye(n)
-    seen: dict[int, int] = {}  # the step of each P so far
+    pi = t @ model.r @ t.T
+    rtol = 4 * model.n * np.finfo(float).eps if freeze_gains else 0.0
     for k in range(n_steps):
-        data = p.tobytes()
-        first = seen.setdefault(hash(data), k)
-        steps = _gain_steps(model, p, max(k - first, 1))
-        if not (first < k and steps[-1][2].tobytes() == data):
-            # a new P, or one whose hash collides with an earlier P's
-            seen[hash(data)] = k
-            (f, k_sum, p_next), steps = steps[0], steps[:1]
-            if not (freeze_gains and _frozen(p, p_next)):
-                p = p_next
-                z[:, k + 1] = (
-                    (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
-                ) + (k_sum @ y[:, k, :, None])[..., 0]
-                continue
-        # every step from here on repeats ``steps``
-        f_tab, k_tab, p_tab = (np.stack(part) for part in zip(*steps))
-        period = len(steps)
-        # one product per agent and phase: one per phase for the whole
-        # group would need a temporary as large as its rows of z
-        for zj, yj in zip(z[:, k:], y[:, k:-1]):
-            for i in range(period):
-                zj[1 + i :: period] += yj[i::period] @ k_tab[i].T
-        propagate_periodic_into(f_tab, z[:, k:])
-        p = p_tab[(n_steps - 1 - k) % period]
-        break
+        gains, pi_next = gain_step(model, pi)
+        f, k_sum = gains.f, gains.k1 + gains.k2
+        settled = np.max(np.abs(pi_next - pi)) <= rtol * np.max(np.abs(pi))
+        pi = pi_next
+        if settled:
+            # one product per agent: one for the whole group would need a
+            # temporary as large as its rows of z
+            for zj, yj in zip(z[:, k + 1 :], y[:, k:-1]):
+                zj += yj @ k_sum.T
+            propagate_into(f, z[:, k:])
+            break
+        z[:, k + 1] = (
+            (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
+        ) + (k_sum @ y[:, k, :, None])[..., 0]
     for j in range(g):
         x_hat = z[j]
         x_hat += y[j] @ h.T
-        x_hat[0] = x0[j]
+        x_hat[0] = y[j, 0]
         np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
-    return z, p
-
-
-def _frozen(p: np.ndarray, p_next: np.ndarray) -> bool:
-    """Whether the step from ``p`` to ``p_next`` moved the covariance trace
-    by less than FREEZE_RTOL * max(1, |trace|), which freezes the gains
-    when ``freeze_gains`` is on."""
-    tr = np.trace(p_next)
-    return abs(tr - np.trace(p)) < FREEZE_RTOL * max(1.0, abs(tr))
-
-
-def _gain_steps(model: AgentModel, p: np.ndarray, count: int) -> list[tuple]:
-    """(F, K1 + K2, P') of each of ``count`` gain steps from ``p``."""
-    steps = []
-    for _ in range(count):
-        gains, p = gain_step(model, p)
-        steps.append((gains.f, gains.k1 + gains.k2, p))
-    return steps
+    return z, pi
 
 
 def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
@@ -649,9 +603,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         i: residual_block[:, start:end]
         for i, start, end in zip(models, bounds[:-1], bounds[1:])
     }
-    x_hat, p_end = [], {}
+    x_hat, pi_end = [], {}
     for group, y_block, block in zip(groups, y, inputs):
-        xh, p_group = _run_observer(
+        xh, pi_group = _run_observer(
             models[group[0]],
             y_block,
             block,
@@ -659,12 +613,15 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             config.freeze_gains,
         )
         x_hat.append(xh)
-        p_end.update(dict.fromkeys(group, p_group))
+        pi_end.update(dict.fromkeys(group, pi_group))
     for i, model in models.items():
         if config.detector.sigma_source == "warmup":
             sigmas[i] = np.std(residuals[i][1 : k_warm + 1], axis=0)
         else:
-            sigmas[i] = np.sqrt(np.diag(model.c @ p_end[i] @ model.c.T + model.r))
+            # r = C eps + M v with M = I - C H, eps independent of v
+            m = np.eye(model.m) - model.c @ model.structural[0]
+            cov = model.c @ pi_end[i] @ model.c.T + m @ model.r @ m.T
+            sigmas[i] = np.sqrt(np.diag(cov))
 
     alarms = monitor(
         residual_block[k_warm:],

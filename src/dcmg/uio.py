@@ -2,30 +2,37 @@
 
 This module holds the discrete-time agent model, its structural gains
 H and T, and the optimal gain and covariance update; the z-recursion
-itself runs over whole horizons in ``sim._run_observer``.  Each agent runs
-the two-stage recursion
+itself runs over whole horizons in ``sim._run_observer``.  Each agent,
+with plant x_{k+1} = A x_k + B_x u_k + E d_k + w_k and measurements
+y_k = C x_k + v_k (C = I), runs the two-stage recursion
 
-    z_{k+1}  = F z_k + T B_x u_{x,k} + (K1 + K2) y_k
+    z_{k+1}  = F z_k + T B_x u_k + (K1 + K2) y_k
     x^_{k+1} = z_{k+1} + H y_{k+1}
 
-where the structural gains H and T = I - H C annihilate the unknown local
-load current (direction E) from the estimation error, and K1 is chosen each
-step to minimise the error covariance given process noise Q and measurement
-noise R.  The estimation error then obeys
+where the structural gains H and T = I - H C satisfy T E = 0, so the
+unknown local load current d drops out, and F = T A - K1 C,
+K2 = F H, hence (K1 + K2) C = F T.  The covariance tracked is not that
+of the estimation error e_k = x_k - x^_k but that of the part of it that
+is independent of the current measurement noise (Darouach & Zasadzinski
+1997, Automatica 33(4); Gillijns & De Moor 2007, Automatica 43(1)):
 
-    e_{k+1} = F e_k - K1 v_k - H v_{k+1} + T w_k - T B_x a_k
+    eps_k    = T x_k - z_k = e_k + H v_k
+    eps_{k+1} = F eps_k - (K1 + K2) v_k + T w_k - T B_x a_k
 
-so a bias ``a`` injected on a received neighbour voltage leaves a persistent
-residual r = y - C x^ on the corresponding line-current channel while load
-steps leave no trace at all.
+with covariance Pi, so that e_k = eps_k - H v_k has P = Pi + H R H^T and
+the residual r_k = y_k - C x^_k = C eps_k + M v_k, with M = I - C H, has
+covariance C Pi C^T + M R M^T.  The observer starts from x^_0 = y_0,
+which makes eps_0 = -T v_0 and Pi_0 = T R T^T exactly.  A bias ``a``
+injected on a received neighbour voltage leaves a persistent residual on
+the corresponding line-current channel, while load steps leave no trace
+at all.
 
-The gain update reads the model and P, never the data, so agents of
-equal models share one recursion.  :func:`gain_step` updates the P of one
-:class:`AgentModel`, with the parts that do not depend on P formed once
-per model (:attr:`AgentModel.gain_terms`), and ``sim._run_observer`` runs
-one recursion for each group of equal models.  In float64 the recursion
-soon cycles exactly, so the engine calls it only until P repeats bit for
-bit and then replays the period's gains.
+The gain update reads the model and Pi, never the data, so agents of
+equal models share one recursion.  :func:`gain_step` updates the Pi of
+one :class:`AgentModel`, with the parts that do not depend on Pi formed
+once per model (:attr:`AgentModel.gain_terms`), and ``sim._run_observer``
+runs one recursion for each group of equal models until Pi settles at
+its fixed point.
 """
 
 from __future__ import annotations
@@ -91,9 +98,15 @@ class AgentModel:
     @cached_property
     def gain_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(T A, H R H^T, T Q T^T): the parts of :func:`gain_step` that do
-        not depend on P, formed once per model on the same terms as
-        :attr:`structural`, after R and Q are checked against C and A."""
+        not depend on Pi, formed once per model on the same terms as
+        :attr:`structural`, after C, R and Q are checked.  C must be the
+        identity: the observer starts from x^_0 = y_0, and only then is
+        Pi_0 = T R T^T its covariance."""
         n, m = self.n, self.m
+        if not np.array_equal(self.c, np.eye(n)):
+            raise DimensionMismatch(
+                f"agent {self.agent_id}: c must be the {n}x{n} identity"
+            )
         if self.r.shape != (m, m):
             raise DimensionMismatch(f"r must be {m}x{m}, got {self.r.shape}")
         if self.q.shape != (n, n):
@@ -158,43 +171,33 @@ def structural_gains(model: AgentModel) -> tuple[np.ndarray, np.ndarray]:
     return h, t
 
 
-def _clamp_psd(p: np.ndarray) -> np.ndarray:
-    """Symmetrize ``p`` and clip its negative eigenvalues to zero, if it
-    has any."""
-    p = (p + p.T) / 2.0
-    w, v = np.linalg.eigh(p)
-    if w[0] < 0.0:
-        p = (v * np.maximum(w, 0.0)) @ v.T
-        p = (p + p.T) / 2.0
-    return p
+def gain_step(model: AgentModel, pi: np.ndarray) -> tuple[ObserverGains, np.ndarray]:
+    """One update of the optimal gain and of the covariance Pi of
+    eps = T x - z (see the module docstring).
 
+    With P = Pi + H R H^T the covariance of the estimation error,
+    K1 = T A P C^T (C P C^T + R)^{-1}, F = T A - K1 C and K2 = F H, and
 
-def gain_step(model: AgentModel, p_k: np.ndarray) -> tuple[ObserverGains, np.ndarray]:
-    """One update of the optimal gain and error covariance.
+        Pi' = F Pi F^T + (K1 + K2) R (K1 + K2)^T + T Q T^T,
 
-    K1 = T A P C^T (C P C^T + R)^{-1} minimises the next error covariance
+    a sum of positive semidefinite terms, symmetrized once and never
+    clipped.
 
-        P' = F P F^T + K1 R K1^T - H R H^T + T Q T^T,   F = T A - K1 C
-
-    which is symmetrized and eigenvalue-clipped to positive semidefinite.
-    The clip is part of the update, not a rounding guard (ROADMAP item 1):
-    on agent 1 of the bundled network the unclipped P' has least eigenvalue
-    -95.5 on every step and settles at trace -28.9; the clipped one at 66.6.
-
-    ``p_k`` is (n, n).  A singular innovation covariance or non-finite
+    ``pi`` is (n, n).  A singular innovation covariance or non-finite
     gains raise ``SingularInnovation`` naming the agent.
     """
-    p_k = np.asarray(p_k, dtype=float)
+    pi = np.asarray(pi, dtype=float)
     n = model.n
-    if p_k.shape != (n, n):
-        raise DimensionMismatch(f"p_k must be {n}x{n}, got {p_k.shape}")
+    if pi.shape != (n, n):
+        raise DimensionMismatch(f"pi must be {n}x{n}, got {pi.shape}")
     ta, hrh, tqt = model.gain_terms
     h, t = model.structural
     c, r = model.c, model.r
-    s = c @ p_k @ c.T + r
+    p = pi + hrh
+    s = c @ p @ c.T + r
     try:
         # K1 = (T A) P C^T S^{-1}, via a solve on the symmetric S
-        k1 = np.linalg.solve(s, (ta @ p_k @ c.T).T).T
+        k1 = np.linalg.solve(s, (ta @ p @ c.T).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(
             f"agent {model.agent_id}: innovation covariance is singular"
@@ -204,6 +207,8 @@ def gain_step(model: AgentModel, p_k: np.ndarray) -> tuple[ObserverGains, np.nda
             f"agent {model.agent_id}: innovation solve produced non-finite gains"
         )
     f = ta - k1 @ c
-    p_next = f @ p_k @ f.T + k1 @ r @ k1.T - hrh + tqt
-    gains = ObserverGains(h=h, t=t, f=f, k1=k1, k2=f @ h)
-    return gains, _clamp_psd(p_next)
+    k2 = f @ h
+    k = k1 + k2
+    pi_next = f @ pi @ f.T + k @ r @ k.T + tqt
+    gains = ObserverGains(h=h, t=t, f=f, k1=k1, k2=k2)
+    return gains, (pi_next + pi_next.T) / 2.0

@@ -1,0 +1,28 @@
+"""Networks the observer tests run on besides the bundled triangle."""
+
+from dcmg.netmodel import LineParams, NetworkSpec
+from dcmg.presets import example_bus, threebus_network
+
+
+def heterogeneous_network():
+    """The three-bus triangle with per-bus C x 1/1.3/0.8 and L x 1/0.7/1.2,
+    and per-line R x 1/1.5/0.6: every agent has its own gains."""
+    network = threebus_network()
+    bus_scales = zip(network.buses, (1.0, 1.3, 0.8), (1.0, 0.7, 1.2))
+    for bus, c_scale, l_scale in bus_scales:
+        bus.c_output *= c_scale
+        bus.l_internal *= l_scale
+    for line, r_scale in zip(network.lines, (1.0, 1.5, 0.6)):
+        line.r_line *= r_scale
+    return network
+
+
+def path_network():
+    """Four preset buses in a path: the end agents have one neighbour
+    (n = 3), the middle ones two (n = 4)."""
+    return NetworkSpec(
+        buses=[example_bus() for _ in range(4)],
+        lines=[
+            LineParams(tail=k, head=k + 1, r_line=0.1, l_line=5e-4) for k in (1, 2, 3)
+        ],
+    )

@@ -53,24 +53,16 @@ def zoh_series(a_c, b_c, e_c, ts, terms=30):
     return ex[:n, :n], ex[:n, n : n + nb], ex[:n, n + nb :]
 
 
-def propagate_loop(a, x0, drive, periodic=False):
+def propagate_loop(a, x0, drive):
     """States of x_{k+1} = a x_k + drive_k, one step at a time for each
-    index of the leading batch axes of ``drive`` (..., K, n).
-
-    ``a`` is (..., n, n); with ``periodic`` it is a table (..., L, n, n)
-    instead, and step k multiplies by its entry k mod L.
-    """
+    index of the leading batch axes of ``drive`` (..., K, n); ``a`` is
+    (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    if not periodic:
-        a = a[..., None, :, :]
     out = np.empty(drive.shape[:-2] + (drive.shape[-2] + 1, a.shape[-1]))
     for idx in np.ndindex(drive.shape[:-2]):
-        table = a[idx]
         out[idx + (0,)] = x0[idx]
         for k in range(drive.shape[-2]):
-            out[idx + (k + 1,)] = (
-                table[k % len(table)] @ out[idx + (k,)] + drive[idx + (k,)]
-            )
+            out[idx + (k + 1,)] = a[idx] @ out[idx + (k,)] + drive[idx + (k,)]
     return out
 
 
@@ -89,60 +81,57 @@ def predictor_step(a, c, q, r, p):
     return k, f, (p_next + p_next.T) / 2.0
 
 
-def observer_gain_step(model, p):
-    """(F, K1 + K2, P') of one gain update of ``model`` from ``p``,
-    written out per agent: K1 by a solve on C P C^T + R, and
-    P' = F P F^T + K1 R K1^T - H R H^T + T Q T^T symmetrized and
-    eigenvalue-clipped."""
+def observer_gain_step(model, pi):
+    """(F, K = K1 + K2, Pi') of one gain update of ``model`` from the
+    covariance ``pi`` of eps = T x - z, written out per agent: K1 by a
+    solve on C P C^T + R with P = Pi + H R H^T, and
+    Pi' = F Pi F^T + K R K^T + T Q T^T symmetrized."""
     h, t = model.structural
     ta = t @ model.a
+    p = pi + h @ model.r @ h.T
     s = model.c @ p @ model.c.T + model.r
     k1 = np.linalg.solve(s, (ta @ p @ model.c.T).T).T
     f = ta - k1 @ model.c
-    k2 = f @ h
-    p = f @ p @ f.T + k1 @ model.r @ k1.T - h @ model.r @ h.T + t @ model.q @ t.T
-    p = (p + p.T) / 2.0
-    w, v = np.linalg.eigh(p)
-    if w[0] < 0.0:
-        p = (v * np.clip(w, 0.0, None)) @ v.T
-        p = (p + p.T) / 2.0
-    return f, k1 + k2, p
+    k = k1 + f @ h
+    pi = f @ pi @ f.T + k @ model.r @ k.T + t @ model.q @ t.T
+    return f, k, (pi + pi.T) / 2.0
 
 
-def observer_loop(model, y, u_x, freeze_gains, freeze_tol, propagate):
-    """(x_hat, residuals, final P, freeze step or None) of one agent's
+def observer_loop(model, y, u_x, settle_rtol, propagate):
+    """(x_hat, residuals, final Pi, settle step or None) of one agent's
     observer, stepped on its own as the simulator did before its agents
     were batched.
 
-    The gain update is :func:`observer_gain_step`.  The gains freeze
-    once |delta trace P| < freeze_tol * max(1, |trace P|), after which the
-    rest of the z-recursion runs in place: z_k and the drive rows are
-    written into z[k:], which one call of ``propagate(a, out)`` then
-    turns into the states, as the simulator's in-place propagation does
-    (passed in, so that nothing is imported from the package).
+    The estimate starts at x^_0 = y_0 (C = I) and Pi at T R T^T; the gain
+    update is :func:`observer_gain_step`.  The recursion settles on the
+    first step k with max|Pi' - Pi| <= settle_rtol * max|Pi|, after which
+    the rest of the z-recursion runs in place with step k's gains: the
+    drive rows are written into z[k + 1:], which one call of
+    ``propagate(a, out)`` turns into the states from z_k, as the
+    simulator's in-place propagation does (passed in, so that nothing is
+    imported from the package).  ``settle_rtol=None`` steps every step.
     """
     h, t = model.structural
     n, n_steps = model.n, u_x.shape[0]
-    x0 = y[0] if np.array_equal(model.c, np.eye(n)) else np.zeros(n)
     tbu = u_x @ (t @ model.b_x).T
     z = np.empty((n_steps + 1, n))
-    z[0] = x0 - h @ y[0]
-    p = np.eye(n)
-    tr_prev = np.trace(p)
-    frozen_at = None
+    z[0] = y[0] - h @ y[0]
+    pi = t @ model.r @ t.T
+    settled_at = None
     for k in range(n_steps):
-        f, k_sum, p = observer_gain_step(model, p)
-        tr = np.trace(p)
-        if freeze_gains and abs(tr - tr_prev) < freeze_tol * max(1.0, abs(tr)):
+        f, k_sum, pi_next = observer_gain_step(model, pi)
+        step = np.max(np.abs(pi_next - pi))
+        pi_max = np.max(np.abs(pi))
+        pi = pi_next
+        if settle_rtol is not None and step <= settle_rtol * pi_max:
             z[k + 1 :] = tbu[k:] + y[k:n_steps] @ k_sum.T
             propagate(f, z[k:])
-            frozen_at = k
+            settled_at = k
             break
-        tr_prev = tr
         z[k + 1] = f @ z[k] + tbu[k] + k_sum @ y[k]
     x_hat = z + y @ h.T
-    x_hat[0] = x0
-    return x_hat, y - x_hat @ model.c.T, p, frozen_at
+    x_hat[0] = y[0]
+    return x_hat, y - x_hat @ model.c.T, pi, settled_at
 
 
 def ewma_loop(values, alpha):

@@ -4,10 +4,10 @@ Each test prints one ``criterion N: PASS/FAIL`` line (bypassing capture)
 with the measured numbers, then asserts.  Criteria cover: the observer's
 structural decoupling identities, disturbance decoupling in closed loop,
 equivalence to a standard optimal predictor when nothing needs
-decoupling, reproduction of the three-bus attack scenario, covariance
-health over long horizons, the steady-state residual prediction under a
-constant bias, bitwise determinism of exported artifacts, and the
-discretization numerics."""
+decoupling, reproduction of the three-bus attack scenario, the settled
+covariance against an independent Lyapunov solve, the steady-state
+residual prediction under a constant bias, bitwise determinism of
+exported artifacts, and the discretization numerics."""
 
 import hashlib
 import time
@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dcmg.cli as cli
+import dcmg.sim as sim
 from dcmg.lti import discretize_zoh, matrix_exponential
 from dcmg.netmodel import build_global, partition_agent
 from dcmg.presets import threebus_attack_scenario, threebus_network
@@ -28,10 +30,10 @@ from dcmg.sim import (
     step_index,
 )
 from dcmg.uio import AgentModel, discretize_agent, gain_step
+from networks import heterogeneous_network, path_network
 from oracles import predictor_step, zoh_series
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
-FROZEN_TRACE_P = 66.61450646028766
 
 
 @pytest.fixture
@@ -153,10 +155,12 @@ def test_criterion_3_predictor_equivalence(agent_models, announce):
 def test_criterion_4_attack_scenario(attack_run, announce):
     config, trace, wall = attack_run
     agent1 = [ev for ev in trace.alarms if ev.agent == 1]
-    ok_count = len(agent1) == 2
-    ev_by_neighbor = {ev.accused_neighbor: ev for ev in agent1}
-    ok_first = 3 in ev_by_neighbor and 4.0 <= ev_by_neighbor[3].time <= 4.1
-    ok_second = 2 in ev_by_neighbor and 6.0 <= ev_by_neighbor[2].time <= 6.1
+    ok_count = len(agent1) == 3
+    found = {(ev.accused_neighbor, ev.component): ev.time for ev in agent1}
+    ok_first = all(
+        4.0 <= found.get(key, -1.0) <= 4.1 for key in ((3, "I1_3"), (None, "V1"))
+    )
+    ok_second = 6.0 <= found.get((2, "I1_2"), -1.0) <= 6.1
     late = [ev for ev in trace.alarms if 8.0 <= ev.time <= 10.0]
     ok_quiet = not late
 
@@ -164,55 +168,77 @@ def test_criterion_4_attack_scenario(attack_run, announce):
     k9, k10 = step_index(9.0, config.ts), step_index(10.0, config.ts)
     res1 = trace.residuals[1]
     sig1 = trace.sigmas[1]
-    attacked = np.abs(res1[k9 : k10 + 1, 2:4].mean(axis=0)) / sig1[2:4]
+    # V1, then the two line channels
+    attacked = np.abs(res1[k9 : k10 + 1, [0, 2, 3]].mean(axis=0)) / sig1[[0, 2, 3]]
     quiet = np.abs(res1[k3 : k4 + 1, 2:4].mean(axis=0)) / sig1[2:4]
     ok_means = bool(np.all(attacked > 5.0) and np.all(quiet < 1.0))
 
     described = ", ".join(
-        f"t={ev.time:.4f} accuses {ev.accused_neighbor}" for ev in agent1
+        f"t={ev.time:.4f} {ev.component} accuses {ev.accused_neighbor}" for ev in agent1
     )
     announce(
         4,
         ok_count and ok_first and ok_second and ok_quiet and ok_means,
         f"agent-1 events [{described}], {len(late)} events in [8,10] s, "
-        f"line-residual means {np.round(attacked, 2).tolist()}σ over [9,10] s "
-        f"vs {np.round(quiet, 2).tolist()}σ over [3,4] s (wall {wall:.2f} s)",
+        f"V1 and line-residual means {np.round(attacked, 2).tolist()}σ over "
+        f"[9,10] s vs lines {np.round(quiet, 2).tolist()}σ over [3,4] s "
+        f"(wall {wall:.2f} s)",
     )
 
 
-def test_criterion_5_covariance_health(agent_models, announce):
-    model = agent_models[1]
-    p = np.eye(model.n)
-    worst_asym = 0.0
-    worst_neg = 0.0
-    tr_prev = np.trace(p)
-    delta = np.inf
-    for _ in range(100_000):
-        gains, p_next = gain_step(model, p)
-        raw = (
-            gains.f @ p @ gains.f.T
-            + gains.k1 @ model.r @ gains.k1.T
-            - gains.h @ model.r @ gains.h.T
-            + gains.t @ model.q @ gains.t.T
-        )
-        worst_asym = max(worst_asym, float(np.max(np.abs(raw - raw.T))))
-        worst_neg = min(worst_neg, float(np.linalg.eigvalsh(p_next)[0]))
-        tr = np.trace(p_next)
-        delta = abs(tr - tr_prev)
-        tr_prev = tr
-        p = p_next
+def test_criterion_5_covariance_health(monkeypatch, announce):
+    # each group's recursion stops once Pi settles; there Pi must be the
+    # fixed point of its own gains, Pi = F Pi F^T + K R K^T + T Q T^T with
+    # K = K1 + K2, which scipy solves independently of the recursion
+    steps = []
+    run_observer = sim._run_observer
+
+    def recorded(model, pi):
+        gains, pi_next = gain_step(model, pi)
+        steps.append(gains)
+        return gains, pi_next
+
+    settled = []
+
+    def observed(model, *args):
+        steps.clear()
+        x_hat, pi = run_observer(model, *args)
+        settled.append((model, steps[-1], pi, len(steps)))
+        return x_hat, pi
+
+    monkeypatch.setattr(sim, "gain_step", recorded)
+    monkeypatch.setattr(sim, "_run_observer", observed)
+    for network in (threebus_network(), heterogeneous_network(), path_network()):
+        config = threebus_attack_scenario()
+        config.network = network
+        config.horizon = 0.05
+        config.warmup = 0.01
+        config.attacks = []
+        config.load_profiles = {}
+        run_scenario(config)
+    worst_rel = worst_neg = 0.0
+    for model, gains, pi, _ in settled:
+        k = gains.k1 + gains.k2
+        drive = k @ model.r @ k.T + gains.t @ model.q @ gains.t.T
+        expected = scipy.linalg.solve_discrete_lyapunov(gains.f, drive)
+        worst_rel = max(worst_rel, np.max(np.abs(pi - expected)) / np.max(np.abs(expected)))
+        worst_neg = min(worst_neg, np.linalg.eigvalsh(pi)[0] / np.max(np.abs(pi)))
+    symmetric = all(np.array_equal(pi, pi.T) for _, _, pi, _ in settled)
+    # 500 steps: every recursion settled before the horizon
+    calls = [count for *_, count in settled]
     ok = (
-        worst_asym <= 1e-12
+        len(settled) == 6
+        and max(calls) < 500
+        and worst_rel <= 1e-12
+        and symmetric
         and worst_neg >= -1e-12
-        and delta < 1e-9
-        and abs(tr_prev - FROZEN_TRACE_P) < 1e-9
     )
     announce(
         5,
         ok,
-        f"10^5 steps: raw asymmetry {worst_asym:.2e} (tol 1e-12), min "
-        f"eigenvalue {worst_neg:.2e}, final |Δtrace| {delta:.2e}, "
-        f"trace {tr_prev:.14f} vs recorded {FROZEN_TRACE_P}",
+        f"{len(settled)} groups of three networks settled after {calls} gain "
+        f"steps: Pi vs Lyapunov solve {worst_rel:.2e} relative (tol 1e-12), "
+        f"symmetric {symmetric}, least eigenvalue / max|Pi| {worst_neg:.2e}",
     )
 
 

@@ -7,7 +7,8 @@ here, reading ``bench/`` without changing it:
   fail, and one the program no longer calls reads 0;
 - every workload's scenario must decode and validate;
 - the checks build ``AgentModel`` and ``Coupling`` by keyword and iterate
-  ``uio.gain_step``."""
+  ``uio.gain_step``;
+- the checks must pass on the program's outputs."""
 
 import dataclasses
 import importlib
@@ -75,3 +76,19 @@ def test_checks_converge_gains_on_the_bundled_scenario(monkeypatch):
         assert model.agent_id == agent
         assert gains.f.shape == p.shape == (model.n, model.n)
         assert np.isfinite(p).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_checks_pass_on_the_time_varying_workload(monkeypatch, seed):
+    # the benchmark's correctness checks, on the program's own outputs: a
+    # change that would make a benchmark run report incorrect outputs
+    # fails here first
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    scn = workloads.make_scenario("threebus_tv", seed, ROOT)
+    trace = sim.run_scenario(scenario_from_dict(scn))
+    results = checks.run_checks(scn, checks.outputs_from_trace(trace))
+    assert results
+    for check in results:
+        assert check.ok, f"{check.name}: {check.detail}"

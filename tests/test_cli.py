@@ -856,10 +856,12 @@ def test_bias_sweep_script(tmp_path):
         assert proc.stdout == ""
     assert proc.stderr == "error: seeds.root must be an integer >= 0, got -1\n"
 
-    # the run succeeds, then the CSV cannot be written
+    # the CSV cannot be written: the sweep fails before its first run, so
+    # no table row is printed
     proc = sweep("--biases", "150", "--out", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not re.search(r"^ +150 ", proc.stdout, re.M)
 
 
 def test_count_lines_script(tmp_path):

@@ -16,7 +16,6 @@ from dcmg.lti import (
     left_pinv,
     matrix_exponential,
     propagate_into,
-    propagate_periodic_into,
 )
 from oracles import expm_series, propagate_loop, zoh_series
 
@@ -200,30 +199,6 @@ def test_propagate_matches_loop(batch, shared, n, n_steps, radius, seed):
     assert np.array_equal(out[..., 0, :], x0)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(a, a_before)
-
-
-@pytest.mark.parametrize("batch", [(1,), (3,)])
-@pytest.mark.parametrize("period", [1, 2, 6, 9])
-def test_propagate_periodic_matches_loop(period, batch):
-    rng = np.random.default_rng(100 * period + batch[0])
-    n = 4
-    # normal matrices of spectral radius 0.99 have norm 0.99, so every
-    # product of them contracts
-    a = stable_matrix(rng, batch + (period,), n, 0.99)
-    a_before = a.copy()
-    x0 = rng.standard_normal(batch + (n,)) * 1e4
-    for n_steps in (0, 1, period - 1, period, period + 1, 3 * period + 2, 600):
-        drive = rng.standard_normal(batch + (n_steps, n)) * 1e2
-        out = np.concatenate([x0[..., None, :], drive], axis=-2)
-        propagate_periodic_into(a, out)
-        ref = propagate_loop(a, x0, drive, periodic=True)
-        assert np.array_equal(out[..., 0, :], x0)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.array_equal(a, a_before)
-        if period == 1:
-            lti_out = np.concatenate([x0[..., None, :], drive], axis=-2)
-            propagate_into(a[..., 0, :, :], lti_out)
-            assert np.array_equal(out, lti_out)
 
 
 # ---------------------------------------------------------------------------

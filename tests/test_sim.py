@@ -23,7 +23,8 @@ from dcmg.sim import (
     validate_config,
 )
 from dcmg.uio import discretize_agent, gain_step
-from oracles import observer_gain_step, observer_loop
+from networks import heterogeneous_network, path_network
+from oracles import observer_loop
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -242,7 +243,9 @@ def test_alarm_flags_latch_from_event_time():
     trace = run_scenario(cfg)
     assert trace.alarms, "bias attack must raise at least one event"
     assert all(ev.agent == 1 for ev in trace.alarms)
-    assert all(ev.accused_neighbor == 3 for ev in trace.alarms)
+    # the V1 event is bus-local and accuses no neighbour
+    accusing = [ev for ev in trace.alarms if ev.accused_neighbor is not None]
+    assert accusing and all(ev.accused_neighbor == 3 for ev in accusing)
     k_first = min(step_index(ev.time, cfg.ts) for ev in trace.alarms)
     flags = trace.alarm_flags[1]
     assert not flags[:k_first].any()
@@ -275,6 +278,11 @@ def test_warmup_sigmas_detect_and_attribute():
 # per-agent loop
 
 
+def settle_rtol(model, freeze_gains):
+    """The engine's settle tolerance relative to max|Pi|, written out."""
+    return 4 * model.n * np.finfo(float).eps if freeze_gains else 0.0
+
+
 @pytest.mark.parametrize(
     "ids, scales, freeze_gains, groups",
     [
@@ -283,8 +291,8 @@ def test_warmup_sigmas_detect_and_attribute():
         pytest.param(
             (1, 2, 3), (1.0, 30.0, 0.3), True, ((0,), (1,), (2,)), id="True"
         ),
-        # no P of these three models repeats within the horizon, so each
-        # group steps every step (the replay test covers repeats)
+        # no Pi of these three models settles exactly within the horizon,
+        # so each group steps every step
         pytest.param(
             (1, 2, 3), (0.3, 0.1, 0.05), False, ((0,), (1,), (2,)), id="False"
         ),
@@ -310,124 +318,62 @@ def test_batched_observer_matches_per_agent_loop(
     y = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((g, n_steps, 3))
     res = np.empty_like(y)
-    frozen_at = []
+    settled_at = []
     for group in groups:
         rows = list(group)
-        x_hat, p_end = _run_observer(
+        x_hat, pi_end = _run_observer(
             models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
         )
         for row, j in enumerate(rows):
-            xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, sim.FREEZE_RTOL, propagate_into
+            xh_ref, res_ref, pi_ref, k_ref = observer_loop(
+                models[j],
+                y[j],
+                u_x[j],
+                settle_rtol(models[j], freeze_gains),
+                propagate_into,
             )
             assert np.array_equal(x_hat[row], xh_ref)
             assert np.array_equal(res[j], res_ref)
-            assert np.array_equal(p_end, p_ref)
-            frozen_at.append(k_ref)
-    assert (None in frozen_at) != freeze_gains
-
-
-def heterogeneous_network():
-    """The three-bus triangle with per-bus C x 1/1.3/0.8 and L x 1/0.7/1.2,
-    and per-line R x 1/1.5/0.6: every agent has its own gains."""
-    network = threebus_network()
-    bus_scales = zip(network.buses, (1.0, 1.3, 0.8), (1.0, 0.7, 1.2))
-    for bus, c_scale, l_scale in bus_scales:
-        bus.c_output *= c_scale
-        bus.l_internal *= l_scale
-    for line, r_scale in zip(network.lines, (1.0, 1.5, 0.6)):
-        line.r_line *= r_scale
-    return network
-
-
-def heterogeneous_models():
-    network = heterogeneous_network()
-    gm = build_global(network)
-    return [
-        discretize_agent(partition_agent(gm, network, i), 1e-4) for i in (1, 2, 3)
-    ]
-
-
-def first_repeat_calls(model, n_steps, frozen_at):
-    """gain_step calls of one model's recursion that stops at its first
-    exact repeat.
-
-    P is stepped with the written-out update until it equals the one of
-    an earlier step mu, on step mu + lambda; the recursion then makes the
-    lambda steps again, for mu + 2 lambda calls.  Gains that freeze after
-    step frozen_at stop it there.
-    """
-    p, seen = np.eye(model.n), {}
-    for k in range(n_steps):
-        key = p.tobytes()
-        if key in seen:
-            return 2 * k - seen[key]
-        seen[key] = k
-        p = observer_gain_step(model, p)[2]
-        if k == frozen_at:
-            return k + 1
-    return n_steps
+            assert np.array_equal(pi_end, pi_ref)
+            settled_at.append(k_ref)
+    assert (None in settled_at) != freeze_gains
 
 
 @pytest.mark.parametrize(
-    "scales, freeze_gains, freeze_rtol, n_steps, collide, groups",
+    "scales, freeze_gains, n_steps, groups, settles",
     [
-        # the unscaled model's P repeats with period 6 from step 100
+        # Pi of the unscaled model repeats exactly on step 57
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 2000, 0, ((0, 1, 2),),
+            (1.0, 1.0, 1.0), False, 2000, ((0, 1, 2),), "all",
             id="scales0-False-1e-12-200",
         ),
+        # Pi of the three models repeats on steps 57 and 6, and never
         pytest.param(
-            (1.0, 30.0, 0.3), False, 1e-12, 2000, 0, ((0,), (1,), (2,)),
+            (1.0, 30.0, 0.3), False, 2000, ((0,), (1,), (2,)), "some",
             id="scales1-False-1e-12-1000",
         ),
-        # gains freeze only on an exactly repeated trace: agents 1 and 3
-        # freeze, while agent 2's P cycles with period 2 and its trace
-        # never repeats
+        # the repeat comes on the last step, whose tail is one step
         pytest.param(
-            (30.0, 100.0, 1.0), True, 1e-300, 2000, 0, ((0,), (1,), (2,)),
-            id="scales2-True-1e-300-200",
+            (1.0, 1.0, 1.0), False, 58, ((0, 1, 2),), "last", id="hit-on-last-step"
         ),
-        # the repeat is found on the last step, whose tail is one step
+        # every agent has its own gains: Pi of agent 2 repeats on step 58,
+        # those of agents 1 and 3 never
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 107, 0, ((0, 1, 2),),
-            id="hit-on-last-step",
+            None, False, 2000, ((0,), (1,), (2,)), "some", id="heterogeneous"
         ),
-        # the horizon ends inside the first replayed period
+        # the horizon ends before the gains settle on step 51, so the
+        # recursion steps to the end
         pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 110, 0, ((0, 1, 2),),
-            id="ends-in-first-period",
-        ),
-        # every agent has its own gains, and its P its own first repeat:
-        # 91, 83 and 99 gain steps
-        pytest.param(
-            None, False, 1e-12, 2000, 0, ((0,), (1,), (2,)), id="heterogeneous"
-        ),
-        # P_0 shares its hash with P_1 or P_2: making the 1 or 2 steps again
-        # from there does not lead back, so the step goes on with the first
-        # of them, and a collision with P_2 costs one gain_step more
-        pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 300, 1, ((0, 1, 2),), id="collision-1"
-        ),
-        pytest.param(
-            (1.0, 1.0, 1.0), False, 1e-12, 300, 2, ((0, 1, 2),), id="collision-2"
+            (1.0, 1.0, 1.0), True, 40, ((0, 1, 2),), "none", id="never-settles"
         ),
     ],
 )
 def test_replayed_gain_cycle_matches_per_agent_loop(
-    agent_models,
-    monkeypatch,
-    scales,
-    freeze_gains,
-    freeze_rtol,
-    n_steps,
-    collide,
-    groups,
+    agent_models, monkeypatch, scales, freeze_gains, n_steps, groups, settles
 ):
-    # in float64 the varying gains enter an exact cycle, after which the
-    # engine runs the rest of the horizon as one periodic tail instead of
-    # calling gain_step; the tail reorders the products, so the estimates
-    # match the per-step loop to rounding, and the covariances bit for bit
+    # once Pi settles, its gains repeat with period 1: the engine runs the
+    # rest of the horizon with them, instead of calling gain_step, and
+    # matches the per-agent loop stepping every step to rounding
     calls = []
 
     def counted(*args):
@@ -435,16 +381,6 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
         return gain_step(*args)
 
     monkeypatch.setattr(sim, "gain_step", counted)
-    if collide:
-        firsts = []
-
-        def colliding(data):
-            if data not in firsts:
-                firsts.append(data)
-            return 0 if firsts.index(data) in (0, collide) else hash(data)
-
-        # module globals shadow builtins, so this replaces the engine's hash
-        monkeypatch.setattr(sim, "hash", colliding, raising=False)
     rng = np.random.default_rng(11)
     if scales is None:
         models = heterogeneous_models()
@@ -456,43 +392,105 @@ def test_replayed_gain_cycle_matches_per_agent_loop(
     y = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((3, n_steps, 3))
     res = np.empty_like(y)
-    monkeypatch.setattr(sim, "FREEZE_RTOL", freeze_rtol)
-    frozen_at = []
+    settled_at = []
     for group in groups:
         rows = list(group)
         calls.clear()
-        x_hat, p_end = _run_observer(
+        x_hat, pi_end = _run_observer(
             models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
         )
         for row, j in enumerate(rows):
-            xh_ref, res_ref, p_ref, k_ref = observer_loop(
-                models[j], y[j], u_x[j], freeze_gains, freeze_rtol, propagate_into
+            xh_ref, res_ref, _, _ = observer_loop(
+                models[j], y[j], u_x[j], None, propagate_into
             )
             bound = 1e-13 * np.max(np.abs(xh_ref))
             assert np.max(np.abs(x_hat[row] - xh_ref)) <= bound
             assert np.max(np.abs(res[j] - res_ref)) <= bound
-            assert np.array_equal(p_end, p_ref)
-            frozen_at.append(k_ref)
-        expected = first_repeat_calls(models[rows[0]], n_steps, frozen_at[-1])
-        assert len(calls) == expected + max(collide - 1, 0)
-    if freeze_gains:
-        assert frozen_at[1] is None and None not in (frozen_at[0], frozen_at[2])
+            # the settle step of the loop with the engine's rule
+            *_, pi_ref, k_ref = observer_loop(
+                models[j],
+                y[j],
+                u_x[j],
+                settle_rtol(models[j], freeze_gains),
+                propagate_into,
+            )
+            assert np.array_equal(pi_end, pi_ref)
+        assert len(calls) == (n_steps if k_ref is None else k_ref + 1)
+        settled_at.append(k_ref)
+    if settles == "all":
+        assert None not in settled_at and max(settled_at) < n_steps - 1
+    elif settles == "some":
+        assert None in settled_at and set(settled_at) != {None}
+    elif settles == "last":
+        assert settled_at == [n_steps - 1]
+    else:
+        assert settled_at == [None] * len(groups)
+
+
+def heterogeneous_models():
+    network = heterogeneous_network()
+    gm = build_global(network)
+    return [
+        discretize_agent(partition_agent(gm, network, i), 1e-4) for i in (1, 2, 3)
+    ]
+
+
+def observer_every_step(model, y, u_x, residuals, freeze_gains):
+    """``_run_observer`` of a group, met by the per-agent loop stepping
+    every step."""
+    n_steps = y.shape[1] - 1
+    x_hat = np.empty(y.shape[:2] + (model.n,))
+    for j, res in enumerate(residuals):
+        x_hat[j], res[...], pi, _ = observer_loop(
+            model, y[j], u_x[j, :n_steps], None, propagate_into
+        )
+    return x_hat, pi
+
+
+@pytest.mark.parametrize(
+    "network",
+    [None, heterogeneous_network(), path_network()],
+    ids=["bundled", "heterogeneous", "path"],
+)
+def test_settled_tail_matches_stepping_every_step(monkeypatch, network):
+    # 0.3 s: the loop stepping every step costs about 70 us per agent-step
+    if network is None:
+        # the bundled scenario with its first attack moved to 0.2 s
+        cfg = threebus_attack_scenario()
+        cfg.load_profiles = {
+            i: segments[:1] for i, segments in cfg.load_profiles.items()
+        }
+        cfg.attacks = [dataclasses.replace(cfg.attacks[0], start=0.2, end=0.3)]
+    else:
+        cfg = small_scenario(network=network, load_profiles={})
+        cfg.attacks = [AttackSpec(victim=2, source=3, start=0.1, end=0.3, bias=150.0)]
+    cfg.horizon = 0.3
+    trace = run_scenario(cfg)
+    monkeypatch.setattr(sim, "_run_observer", observer_every_step)
+    ref = run_scenario(cfg)
+    for i in trace.models:
+        bound = 1e-13 * np.max(np.abs(ref.x_hat[i]))
+        assert np.max(np.abs(trace.x_hat[i] - ref.x_hat[i])) <= bound
+        assert np.max(np.abs(trace.residuals[i] - ref.residuals[i])) <= bound
+        assert np.array_equal(trace.alarm_flags[i], ref.alarm_flags[i])
+    events = [(ev.agent, ev.accused_neighbor, ev.component, ev.time) for ev in trace.alarms]
+    assert events
+    assert events == [
+        (ev.agent, ev.accused_neighbor, ev.component, ev.time) for ev in ref.alarms
+    ]
 
 
 def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
     # the end agents of a 4-bus path have one neighbour (n = 3), the
     # middle ones two (n = 4): two groups of two equal models each; every
     # agent of the heterogeneous triangle has a model, so a group, of its own
-    path = NetworkSpec(
-        buses=[example_bus() for _ in range(4)],
-        lines=[LineParams(tail=k, head=k + 1, r_line=0.1, l_line=5e-4) for k in (1, 2, 3)],
-    )
+    path = path_network()
     runs = []
 
     def recorded(model, y, *args):
-        x_hat, p_end = _run_observer(model, y, *args)
-        runs.append((model.agent_id, len(y), p_end))
-        return x_hat, p_end
+        x_hat, pi_end = _run_observer(model, y, *args)
+        runs.append((model.agent_id, len(y), pi_end))
+        return x_hat, pi_end
 
     monkeypatch.setattr(sim, "_run_observer", recorded)
     cases = (
@@ -506,28 +504,48 @@ def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
         trace = run_scenario(cfg)
         assert [model.n for model in trace.models.values()] == sizes
         n_steps = trace.times.shape[0] - 1
-        p_ref = {}
+        pi_ref = {}
         for i, model in trace.models.items():
             nominal = network.buses[i - 1].v_source_nominal
             u_x = np.column_stack([np.full(n_steps, nominal), trace.comms[i][:-1]])
-            xh_ref, res_ref, p_ref[i], _ = observer_loop(
+            xh_ref, res_ref, pi_ref[i], _ = observer_loop(
                 model,
                 trace.y[i],
                 u_x,
-                cfg.freeze_gains,
-                sim.FREEZE_RTOL,
+                settle_rtol(model, cfg.freeze_gains),
                 propagate_into,
             )
             assert np.array_equal(trace.x_hat[i], xh_ref)
             assert np.array_equal(trace.residuals[i], res_ref)
-            sigma_ref = np.sqrt(np.diag(model.c @ p_ref[i] @ model.c.T + model.r))
-            assert np.array_equal(trace.sigmas[i], sigma_ref)
+            # r = eps + M v with M = I - H (C = I)
+            m = np.eye(model.m) - model.structural[0]
+            cov = pi_ref[i] + m @ model.r @ m.T
+            assert np.array_equal(trace.sigmas[i], np.sqrt(np.diag(cov)))
         # one engine run per group, named by its first agent, and the
         # final covariance it returns
         assert [run[:2] for run in runs] == [(group[0], len(group)) for group in groups]
-        for (_, _, p_end), group in zip(runs, groups):
+        for (_, _, pi_end), group in zip(runs, groups):
             for i in group:
-                assert np.array_equal(p_end, p_ref[i])
+                assert np.array_equal(pi_end, pi_ref[i])
+
+
+@pytest.mark.parametrize(
+    "network", [None, heterogeneous_network()], ids=["bundled", "heterogeneous"]
+)
+def test_residual_spread_matches_sigma(network):
+    # Monte Carlo: with noise on and no attack, every channel's residual
+    # spread after warm-up matches its model sigma
+    cfg = threebus_attack_scenario()
+    cfg.horizon = 3.0
+    cfg.attacks = []
+    cfg.load_profiles = {i: segments[:1] for i, segments in cfg.load_profiles.items()}
+    if network is not None:
+        cfg.network = network
+    trace = run_scenario(cfg)
+    k_warm = step_index(cfg.warmup, cfg.ts)
+    for i in trace.models:
+        ratio = np.std(trace.residuals[i][k_warm:], axis=0) / trace.sigmas[i]
+        assert np.all((0.95 <= ratio) & (ratio <= 1.05)), (i, ratio)
 
 
 def test_singular_plant_has_no_steady_start():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dcmg.errors import (
     DecouplingInfeasible,
@@ -93,14 +94,27 @@ def test_gain_conditions_hold_for_every_agent(agent_models):
 
 
 def test_zero_uncertainty_step(agent_models):
+    # Pi = 0 and Q = 0: eps = T x - z is known exactly, and only the
+    # measurement noise in e = eps - H v is left, so K1's rule reads
+    # P = H R H^T and Pi' = K R K^T with K = K1 + K2
     model = agent_models[1]
     zeros = np.zeros((model.n, model.n))
-    gains, p1 = gain_step(dataclasses.replace(model, q=zeros), zeros)
+    gains, pi1 = gain_step(dataclasses.replace(model, q=zeros), zeros)
     h, t = structural_gains(model)
+    p = h @ model.r @ h.T
+    k1 = t @ model.a @ p @ np.linalg.inv(p + model.r)  # C = I
+    assert np.allclose(gains.k1, k1, rtol=0, atol=1e-12 * np.max(np.abs(k1)))
+    assert np.allclose(gains.f, t @ model.a - k1, rtol=0, atol=1e-12)
+    k = gains.k1 + gains.k2
+    expected = k @ model.r @ k.T
+    assert np.allclose(pi1, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+    assert np.array_equal(pi1, pi1.T)
+    # without a disturbance channel H = 0, so nothing is uncertain at all:
+    # no correction and a zero update, exactly
+    blind = toy_model(model.a, np.zeros((model.n, 0)), model.c, q=zeros, r=model.r)
+    gains, pi1 = gain_step(blind, zeros)
     assert np.array_equal(gains.k1, np.zeros((model.n, model.m)))
-    assert np.allclose(gains.f, t @ model.a, rtol=0, atol=1e-14)
-    # the raw update is -H R H^T, negative semidefinite, clamped to zero
-    assert np.allclose(p1, zeros, rtol=0, atol=1e-12)
+    assert np.array_equal(pi1, zeros)
 
 
 def test_covariance_stays_symmetric_psd(agent_models):
@@ -113,20 +127,29 @@ def test_covariance_stays_symmetric_psd(agent_models):
 
 
 def test_trace_converges_to_frozen_constant(agent_models):
+    # from the observer's start Pi_0 = T R T^T the trace settles, and the
+    # settled Pi is the fixed point of its own gains, which scipy solves
+    # independently of the recursion
     model = agent_models[1]
-    p = np.eye(model.n)
-    tr_prev = np.trace(p)
+    _, t = structural_gains(model)
+    pi = t @ model.r @ t.T
+    tr_prev = np.trace(pi)
     for k in range(10_000):
-        _, p = gain_step(model, p)
-        tr = np.trace(p)
+        gains, pi = gain_step(model, pi)
+        tr = np.trace(pi)
         if abs(tr - tr_prev) < 1e-12:
             break
         tr_prev = tr
     else:
-        pytest.fail("trace(P) did not converge")
+        pytest.fail("trace(Pi) did not converge")
     assert k < 500
-    # regression constant recorded from the first verified run
-    assert abs(tr - 66.61450646028766) < 1e-8
+    gain = gains.k1 + gains.k2
+    drive = gain @ model.r @ gain.T + t @ model.q @ t.T
+    expected = scipy.linalg.solve_discrete_lyapunov(gains.f, drive)
+    assert np.max(np.abs(pi - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.linalg.eigvalsh(pi)[0] >= -1e-12 * np.max(np.abs(pi))
+    # regression constant recorded from the first verified run of this update
+    assert abs(tr - 75.92512113555014) < 1e-8
 
 
 def test_reduces_to_standard_predictor_without_disturbance(agent_models):
@@ -181,6 +204,23 @@ def test_gain_step_shape_checks(agent_models):
         gain_step(dataclasses.replace(model, r=np.eye(3)), np.eye(4))
     with pytest.raises(DimensionMismatch):
         gain_step(dataclasses.replace(model, q=np.eye(5)), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        pytest.param(np.diag([1.0, 1.0, 1.0, 2.0]), id="scaled"),
+        pytest.param(np.eye(4)[:3], id="fewer-rows"),
+    ],
+)
+def test_gain_step_needs_identity_measurement(agent_models, c):
+    # the observer starts from x^_0 = y_0, and Pi_0 = T R T^T is its
+    # covariance only when C = I
+    model = dataclasses.replace(
+        agent_models[1], agent_id=7, c=c, r=np.eye(c.shape[0])
+    )
+    with pytest.raises(DimensionMismatch, match="agent 7: c must be the 4x4 identity"):
+        gain_step(model, np.eye(4))
 
 
 # ---------------------------------------------------------------------------
