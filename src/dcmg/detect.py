@@ -3,8 +3,9 @@ persistence latching, attributing alarms on line-current channels to the
 neighbour whose reported voltage feeds that line.
 
 ``monitor`` takes the residual channels of any number of agents side by
-side and scans them in one pass: one EWMA call over the whole block, then
-one vectorised run-length pass over the channels that ever reach kappa.
+side and scans them in one pass: one EWMA call over the whole block, then,
+one channel at a time, the runs above kappa of each channel that ever
+reaches it.
 """
 
 from __future__ import annotations
@@ -136,16 +137,15 @@ def monitor(
 
     s = ewma_statistic(residuals, sigmas, config.ewma_alpha)
     above = s >= config.kappa
-    cols = np.flatnonzero(above.any(axis=0))
-    step = np.arange(len(s))[:, None]
-    # a run's length is the distance back to its last sample below kappa
-    run = np.where(above[:, cols], -1, step)
-    np.maximum.accumulate(run, axis=0, out=run)
-    np.subtract(step, run, out=run)
-    latched = run >= config.persistence
-    hit = latched.any(axis=0)
     events: list[DetectionEvent] = []
-    for col, k in zip(cols[hit], latched[:, hit].argmax(axis=0)):
+    for col in np.flatnonzero(above.any(axis=0)):
+        # the column's runs above kappa start and end where it changes
+        edges = np.flatnonzero(np.diff(above[:, col], prepend=False, append=False))
+        starts, ends = edges[::2], edges[1::2]
+        long = np.flatnonzero(ends - starts >= config.persistence)
+        if long.size == 0:
+            continue
+        k = starts[long[0]] + config.persistence - 1
         model, c = channels[col]
         events.append(
             DetectionEvent(

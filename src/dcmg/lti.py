@@ -1,6 +1,6 @@
 """Dense LTI helpers: matrix exponential, exact zero-order-hold
 discretization, a rank-checked left pseudo-inverse and state propagation
-by a blocked prefix scan."""
+by odd-even reduction."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .errors import (
 # rank test threshold on the singular values of m^T m, relative to the largest
 RANK_RTOL = 1e-12
 
-# steps per block of the propagation scan (a power of two)
+# rows per slice of each propagation pass
 SCAN_BLOCK = 256
 
 
@@ -104,6 +104,12 @@ def left_pinv(m: np.ndarray) -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
+def _add_product(dst: np.ndarray, src: np.ndarray, a_t: np.ndarray, prod) -> None:
+    """dst += prod(src, a_t), SCAN_BLOCK rows at a time."""
+    for i in range(0, dst.shape[-2], SCAN_BLOCK):
+        dst[..., i : i + SCAN_BLOCK, :] += prod(src[..., i : i + SCAN_BLOCK, :], a_t)
+
+
 def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
     """States x_0..x_K of ``x_{k+1} = a x_k + drive_k``, in place.
 
@@ -112,26 +118,23 @@ def propagate_into(a: np.ndarray, out: np.ndarray) -> None:
     of the leading axes of ``out``, or (..., n, n) with the same leading
     axes; it is not modified.  A 1x1 ``a`` scales every column of
     ``out``, so n scalar systems that share it run as one call.  The
-    steps run as a blocked prefix scan (Blelloch 1990; Martin & Cundy
-    2018): each block of SCAN_BLOCK steps folds ``a x_start`` into its
-    first drive row and then makes log2(SCAN_BLOCK) doubling passes
-    ``y[s:] += y[:-s] (a^s)^T``, so only the powers a^(2^j) are ever
-    formed.  Shapes are the caller's to check."""
-    n_steps = out.shape[-2] - 1
+    steps run as an odd-even (cyclic) reduction (Hockney 1965; Blelloch
+    1990): with d_k the drive in row k, each odd row is folded into the
+    even row after it, x_2j = a^2 x_2j-2 + (d_2j + a d_2j-1), the even
+    rows are reduced the same way with a^2, and then each odd row is
+    filled in, x_2j+1 = a x_2j + d_2j+1.  That is about two products per
+    row, and each pass runs SCAN_BLOCK rows at a time.  Shapes are the
+    caller's to check."""
     # a batch of scalar systems multiplies by broadcasting, several times
     # faster than numpy's stacked matmul over 1x1 matrices
     prod = np.multiply if a.shape[-1] == 1 else np.matmul
     a_t = np.swapaxes(a, -1, -2)
-    powers_t = [a_t]  # (a^s)^T for s = 1, 2, 4, ..., SCAN_BLOCK / 2
-    while 2 ** len(powers_t) < SCAN_BLOCK:
-        powers_t.append(powers_t[-1] @ powers_t[-1])
-    for k0 in range(0, n_steps, SCAN_BLOCK):
-        y = out[..., k0 + 1 : k0 + 1 + SCAN_BLOCK, :]
-        y[..., :1, :] += prod(out[..., k0 : k0 + 1, :], a_t)
-        s = 1
-        for p_t in powers_t:
-            if s >= y.shape[-2]:
-                break
-            y[..., s:, :] += prod(y[..., :-s, :], p_t)
-            s *= 2
-
+    levels = [(out, a_t)]
+    while out.shape[-2] > 2:
+        # fold each odd row into the even row after it; recurse on the evens
+        _add_product(out[..., 2::2, :], out[..., 1:-1:2, :], a_t, prod)
+        out, a_t = out[..., ::2, :], a_t @ a_t
+        levels.append((out, a_t))
+    # fill in the odd rows, coarsest level first
+    for out, a_t in reversed(levels):
+        _add_product(out[..., 1::2, :], out[..., :-1:2, :], a_t, prod)

@@ -38,8 +38,8 @@ an LTI recursion in z with that step's gains, which all its agents run
 together as one ``lti.propagate_into``.  The plant's series and each
 group's metered-layer series are formed in place, x_0 and the drive rows
 written straight into the state array, which ``lti.propagate_into`` then
-scans; a group's metered layer and measurements read its one model.  A
-plant state that overflows raises ``NonFinite``.
+scans by odd-even reduction; a group's metered layer and measurements
+read its one model.  A plant state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -424,8 +424,8 @@ def _run_observer(
     ``freeze_gains``, tol = 4 n eps max|Pi| (eps the float64 machine
     epsilon); without it, tol = 0, so Pi' must equal Pi bit for bit.  The
     rest of the horizon then runs with that step's gains, for every row,
-    as one ``lti.propagate_into``, which gives the same bits as stepping.
-    A recursion that never settles steps to the horizon.
+    as one ``lti.propagate_into``, within 1e-13 max|x^| of stepping on with
+    them.  A recursion that never settles steps to the horizon.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     h, t = model.structural
@@ -453,7 +453,8 @@ def _run_observer(
         x_hat = z[j]
         x_hat += y[j] @ h.T
         x_hat[0] = y[j, 0]
-        np.subtract(y[j], x_hat @ model.c.T, out=residuals[j])
+        # C = I (``AgentModel.gain_terms`` checks it), so r = y - x^
+        np.subtract(y[j], x_hat, out=residuals[j])
     return z, pi
 
 
@@ -571,7 +572,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         loc[:, 1:] += w[:, index].swapaxes(0, 1) * sign[:, None]
         propagate_into(model.a, loc)
         x_local.append(loc)
-        y_block = loc @ model.c.T
+        # C = I: each agent measures its metered states, plus noise
+        y_block = loc.copy()
         if config.noise.inject:
             for j, i in enumerate(group):
                 y_block[j] += sample_noise(

@@ -145,6 +145,22 @@ def ewma_loop(values, alpha):
     return out
 
 
+def latch_loop(above, persistence):
+    """Per column of the boolean (N, M) ``above``, the first step that
+    completes ``persistence`` consecutive True samples, or None; counted
+    one sample at a time."""
+    out = []
+    for col in np.asarray(above).T:
+        run, latch = 0, None
+        for k, flag in enumerate(col):
+            run = run + 1 if flag else 0
+            if run == persistence:
+                latch = k
+                break
+        out.append(latch)
+    return out
+
+
 def savetxt_csv(data, header=""):
     """``np.savetxt`` with ``%.17g`` fields, the trace writer's reference."""
     buf = io.BytesIO()

@@ -510,7 +510,7 @@ def _overflowing(initial_state: str) -> dict:
 
 
 @pytest.mark.parametrize(
-    "initial_state, where", [("steady", "step 0 (t = 0 s)"), ("zero", "step 63 (t = 0.0063 s)")]
+    "initial_state, where", [("steady", "step 0 (t = 0 s)"), ("zero", "step 17 (t = 0.0017 s)")]
 )
 def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, where):
     path = tmp_path / "huge.json"

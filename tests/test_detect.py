@@ -3,7 +3,7 @@ import pytest
 
 from dcmg.detect import DetectorConfig, ewma_statistic, monitor
 from dcmg.errors import NonPositiveInput, UnknownComponent
-from oracles import ewma_loop
+from oracles import ewma_loop, latch_loop
 
 TS = 1e-4
 RNG = np.random.default_rng(2718)
@@ -146,6 +146,32 @@ def test_agent_block_merges_single_agent_events(agent_models):
         (1, "I1_3", 3),
     ]
     assert events[0].time == events[1].time < events[2].time
+
+
+@pytest.mark.parametrize("persistence", [1, 3, 10, 200, 201])
+def test_latches_match_per_step_loop(agent_models, persistence):
+    models = [agent_models[i] for i in (1, 2, 3)]
+    channels = [(m, label) for m in models for label in m.labels]
+    n, width = 200, len(channels)
+    rng = np.random.default_rng(persistence)
+    # each column its own chance of a sample above kappa; then one column
+    # always above, one never, and one above only over its last samples
+    above = rng.random((n, width)) < rng.uniform(0.0, 1.0, width)
+    above[:, 0], above[:, 1], above[:, 2] = True, False, False
+    above[-persistence:, 2] = True
+    # with alpha = 1 the statistic is |r| / sigma itself: 10 or 0
+    cfg = DetectorConfig(kappa=5.0, ewma_alpha=1.0, persistence=persistence)
+    t = times_for(n)
+    events = monitor(np.where(above, 10.0, 0.0), t, np.ones(width), models, cfg)
+    expected = sorted(
+        (t[k], m.agent_id, label)
+        for (m, label), k in zip(channels, latch_loop(above, persistence))
+        if k is not None
+    )
+    assert [(ev.time, ev.agent, ev.component) for ev in events] == expected
+    assert all(ev.statistic == 10.0 for ev in events)
+    if persistence > n:
+        assert events == []
 
 
 def test_empty_stream(agent_models):

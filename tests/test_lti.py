@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +201,65 @@ def test_propagate_matches_loop(batch, shared, n, n_steps, radius, seed):
     assert np.array_equal(out[..., 0, :], x0)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(a, a_before)
+
+
+def test_propagate_long_odd_horizon_matches_loop():
+    # 10001 steps: every halving of the reduction leaves an odd row over
+    rng = np.random.default_rng(101)
+    a = stable_matrix(rng, (), 4, 0.999)
+    x0 = rng.standard_normal(4) * 1e4
+    drive = rng.standard_normal((10_001, 4)) * 1e2
+    out = np.concatenate([x0[None], drive])
+    propagate_into(a, out)
+    ref = propagate_loop(a, x0, drive)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_propagate_bundled_plant_matches_loop(global_model):
+    # the bundled network's plant is far from normal and has entries of
+    # 4.7, so its powers grow before they decay
+    a = discretize_zoh(global_model.a_c, global_model.b_c, global_model.e_c, 1e-4).a
+    assert np.max(np.abs(a)) > 4.0
+    assert np.max(np.abs(a @ a.T - a.T @ a)) > 1.0
+    rng = np.random.default_rng(102)
+    x0 = rng.standard_normal(a.shape[0]) * 1e2
+    drive = rng.standard_normal((3 * SCAN_BLOCK + 5, a.shape[0]))
+    out = np.concatenate([x0[None], drive])
+    propagate_into(a, out)
+    ref = propagate_loop(a, x0, drive)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_propagate_scalar_a_scales_every_column():
+    # a 1x1 ``a`` runs 300 scalar systems side by side, as the EWMA does
+    rng = np.random.default_rng(103)
+    x0 = rng.standard_normal(300)
+    drive = rng.standard_normal((2 * SCAN_BLOCK + 1, 300))
+    out = np.concatenate([x0[None], drive])
+    propagate_into(np.full((1, 1), 0.95), out)
+    ref = propagate_loop(0.95 * np.eye(300), x0, drive)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_propagate_allocates_one_slice_and_the_powers():
+    # the ring30 plant's shape: no temporary as large as the series, only
+    # one SCAN_BLOCK-row product, one n x n power per halving and the
+    # buffers numpy's in-place add iterates with
+    rng = np.random.default_rng(104)
+    n, rows = 90, 10_001
+    a = stable_matrix(rng, (), n, 0.99)
+    out = rng.standard_normal((rows, n))
+    propagate_into(a, out.copy())
+    halvings = int(np.ceil(np.log2(rows)))
+    tracemalloc.start()
+    try:
+        propagate_into(a, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 3 * np.getbufsize()
+    assert peak <= 8 * (SCAN_BLOCK * n + halvings * n * n + buffers)
+    assert peak < out.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
