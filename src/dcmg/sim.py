@@ -39,7 +39,10 @@ together as one ``lti.propagate_into``.  The plant's series and each
 group's metered-layer series are formed in place, x_0 and the drive rows
 written straight into the state array, which ``lti.propagate_into`` then
 scans by odd-even reduction; a group's metered layer and measurements
-read its one model.  A plant state that overflows raises ``NonFinite``.
+read its one model.  The group series, of at most eight states, are
+scanned by one product per row pair, and the plant, of 9 or more states,
+by product-then-add (see ``lti``).  A plant state that overflows raises
+``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -437,7 +440,7 @@ def _run_observer(
     for k in range(n_steps):
         gains, pi_next = gain_step(model, pi)
         f, k_sum = gains.f, gains.k1 + gains.k2
-        settled = np.max(np.abs(pi_next - pi)) <= rtol * np.max(np.abs(pi))
+        settled = abs(pi_next - pi).max() <= rtol * abs(pi).max()
         pi = pi_next
         if settled:
             # one product per agent: one for the whole group would need a

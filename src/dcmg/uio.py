@@ -181,7 +181,9 @@ def gain_step(model: AgentModel, pi: np.ndarray) -> tuple[ObserverGains, np.ndar
         Pi' = F Pi F^T + (K1 + K2) R (K1 + K2)^T + T Q T^T,
 
     a sum of positive semidefinite terms, symmetrized once and never
-    clipped.
+    clipped.  C is the identity (:attr:`AgentModel.gain_terms` checks it),
+    so the update forms K1 = T A P (P + R)^{-1} and F = T A - K1 without
+    the products by C.
 
     ``pi`` is (n, n).  A singular innovation covariance or non-finite
     gains raise ``SingularInnovation`` naming the agent.
@@ -192,12 +194,11 @@ def gain_step(model: AgentModel, pi: np.ndarray) -> tuple[ObserverGains, np.ndar
         raise DimensionMismatch(f"pi must be {n}x{n}, got {pi.shape}")
     ta, hrh, tqt = model.gain_terms
     h, t = model.structural
-    c, r = model.c, model.r
+    r = model.r
     p = pi + hrh
-    s = c @ p @ c.T + r
     try:
-        # K1 = (T A) P C^T S^{-1}, via a solve on the symmetric S
-        k1 = np.linalg.solve(s, (ta @ p @ c.T).T).T
+        # K1 = (T A) P S^{-1}, via a solve on the symmetric S = P + R
+        k1 = np.linalg.solve(p + r, (ta @ p).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovation(
             f"agent {model.agent_id}: innovation covariance is singular"
@@ -206,7 +207,7 @@ def gain_step(model: AgentModel, pi: np.ndarray) -> tuple[ObserverGains, np.ndar
         raise SingularInnovation(
             f"agent {model.agent_id}: innovation solve produced non-finite gains"
         )
-    f = ta - k1 @ c
+    f = ta - k1
     k2 = f @ h
     k = k1 + k2
     pi_next = f @ pi @ f.T + k @ r @ k.T + tqt

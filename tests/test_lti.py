@@ -13,6 +13,7 @@ from dcmg.errors import (
     RankDeficient,
 )
 from dcmg.lti import (
+    PAIR_MAX_N,
     SCAN_BLOCK,
     discretize_zoh,
     left_pinv,
@@ -260,6 +261,73 @@ def test_propagate_allocates_one_slice_and_the_powers():
     buffers = 3 * np.getbufsize()
     assert peak <= 8 * (SCAN_BLOCK * n + halvings * n * n + buffers)
     assert peak < out.nbytes / 4
+
+
+@pytest.mark.parametrize("n", [2, 4, PAIR_MAX_N])
+@pytest.mark.parametrize("g", [1, 3, 30])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 2 * SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 4])
+def test_propagate_batch_rows_match_each_row_alone(n, g, rows):
+    # the engine scans a group's series as one batch and the per-agent
+    # oracles scan each agent alone; they agree bit for bit only if no
+    # product's shape depends on the batch
+    rng = np.random.default_rng(105)
+    a = stable_matrix(rng, (), n, 0.999)
+    out = rng.standard_normal((g, rows, n)) * 1e2
+    alone = [row.copy() for row in out]
+    propagate_into(a, out)
+    for j, row in enumerate(alone):
+        propagate_into(a, row)
+        assert np.array_equal(out[j], row)
+
+
+@pytest.mark.parametrize("n", [PAIR_MAX_N, PAIR_MAX_N + 1])
+def test_propagate_crossover_width_matches_loop(n):
+    # the widest matrix scanned by row-pair products and the narrowest
+    # scanned by product-then-add
+    rng = np.random.default_rng(106)
+    a = stable_matrix(rng, (), n, 0.999)
+    x0 = rng.standard_normal((3, n)) * 1e4
+    drive = rng.standard_normal((3, 3 * SCAN_BLOCK + 7, n)) * 1e2
+    out = np.concatenate([x0[:, None], drive], axis=1)
+    propagate_into(a, out)
+    ref = propagate_loop(np.broadcast_to(a, (3, n, n)), x0, drive)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_propagate_strided_state_columns_match_loop():
+    # a series whose states are not adjacent in memory cannot be copied
+    # as whole rows, and takes the product-then-add pass
+    rng = np.random.default_rng(107)
+    a = stable_matrix(rng, (), 4, 0.99)
+    x0 = rng.standard_normal((2, 4))
+    drive = rng.standard_normal((2, SCAN_BLOCK + 3, 4))
+    wide = np.zeros((2, SCAN_BLOCK + 4, 8))
+    out = wide[..., ::2]
+    out[:, 0], out[:, 1:] = x0, drive
+    propagate_into(a, out)
+    ref = propagate_loop(np.broadcast_to(a, (2, 4, 4)), x0, drive)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert not wide[..., 1::2].any()
+
+
+def test_propagate_narrow_series_allocates_no_half_series():
+    # ring30's metered-layer shape: the row pairs are staged two slices at
+    # a time, so the temporaries stay far below the half series that a
+    # copy of the even rows would take
+    rng = np.random.default_rng(108)
+    g, rows, n = 30, 10_001, 4
+    a = stable_matrix(rng, (), n, 0.99)
+    out = rng.standard_normal((g, rows, n))
+    propagate_into(a, out.copy())
+    slice_bytes = g * SCAN_BLOCK * n * out.itemsize
+    tracemalloc.start()
+    try:
+        propagate_into(a, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes / 2 + slice_bytes
+    assert peak < 3 * slice_bytes
 
 
 # ---------------------------------------------------------------------------
