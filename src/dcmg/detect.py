@@ -30,16 +30,14 @@ class DetectorConfig:
     The per-component statistic follows
         s <- (1 - ewma_alpha) s + ewma_alpha |r| / sigma
     and latches an alarm once s >= kappa holds for ``persistence``
-    consecutive samples.  ``sigma_source`` selects where sigma comes from:
-    the residual covariance C Pi C^T + M R M^T of the settled observer
-    ("innovation", see ``dcmg.uio``) or the empirical residual spread over
-    the warm-up window ("warmup").
+    consecutive samples.  sigma is the model's, never estimated from the
+    residuals: sqrt(diag(Pi + M R M^T)) of the settled observer, with
+    M = I - H (see ``dcmg.uio``).
     """
 
     kappa: float = 5.0
     ewma_alpha: float = 0.05
     persistence: int = 10
-    sigma_source: str = "innovation"
 
     def validate(self) -> None:
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
@@ -51,10 +49,6 @@ class DetectorConfig:
         if self.persistence < 1:
             raise NonPositiveInput(
                 f"persistence must be >= 1, got {self.persistence}"
-            )
-        if self.sigma_source not in ("innovation", "warmup"):
-            raise NonPositiveInput(
-                f"sigma_source must be 'innovation' or 'warmup', got {self.sigma_source!r}"
             )
 
 

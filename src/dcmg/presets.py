@@ -69,8 +69,6 @@ def threebus_attack_scenario() -> ScenarioConfig:
             AttackSpec(victim=1, source=3, start=4.0, end=10.0, bias=150.0),
             AttackSpec(victim=1, source=2, start=6.0, end=10.0, bias=100.0),
         ],
-        detector=DetectorConfig(
-            kappa=5.0, ewma_alpha=0.05, persistence=10, sigma_source="innovation"
-        ),
+        detector=DetectorConfig(kappa=5.0, ewma_alpha=0.05, persistence=10),
         freeze_gains=True,
     )

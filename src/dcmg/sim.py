@@ -35,14 +35,16 @@ fixed point, and the recursion stops on the first step that moves it by
 at most a tolerance: 4 n eps max|Pi| with ``freeze_gains``, and zero
 (an exact repeat) without it.  The rest of the group's horizon is then
 an LTI recursion in z with that step's gains, which all its agents run
-together as one ``lti.propagate_into``.  The plant's series and each
-group's metered-layer series are formed in place, x_0 and the drive rows
-written straight into the state array, which ``lti.propagate_into`` then
-scans by odd-even reduction; a group's metered layer and measurements
-read its one model.  The group series, of at most eight states, are
-scanned by one product per row pair, and the plant, of 9 or more states,
-by product-then-add (see ``lti``).  A plant state that overflows raises
-``NonFinite``.
+together as one ``lti.propagate_into``.  The detector divides each
+residual by sqrt(diag(Pi + M R M^T)) of its group's final Pi, with
+M = I - H, never by a spread estimated from the data.  The plant's
+series and each group's metered-layer series are formed in place, x_0
+and the drive rows written straight into the state array, which
+``lti.propagate_into`` then scans by odd-even reduction; a group's
+metered layer and measurements read its one model.  The group series,
+of at most eight states, are scanned by one product per row pair, and
+the plant, of 9 or more states, by product-then-add (see ``lti``).  A
+plant state that overflows raises ``NonFinite``.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -64,7 +66,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import discretize_zoh, propagate_into
+from .lti import RANK_RTOL, discretize_zoh, propagate_into
 from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
 from .netmodel import NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
@@ -325,10 +327,6 @@ def validate_config(config: ScenarioConfig) -> None:
         config.detector.validate()
     except NonPositiveInput as exc:
         raise ValidationError(f"detector: {exc}") from exc
-    if config.detector.sigma_source == "warmup" and k_warm < 2:
-        raise ValidationError(
-            "detector.sigma_source = 'warmup' needs a positive warmup of >= 2 steps"
-        )
 
 
 def _schedule(name: str, noun: str, bus: int, entries: list, config: ScenarioConfig):
@@ -388,16 +386,17 @@ def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:
 
     For a ZOH-discretized system this coincides exactly with the
     continuous equilibrium, so a noise-free run started here sits still.
-    A network with no unique DC operating point (singular ``I - a``) has
-    no steady start and raises ``ValidationError``.
+    A network whose ``I - a`` is singular to ``RANK_RTOL``, as a lossless
+    one's is, has no steady start and raises ``ValidationError``.
     """
-    try:
-        return np.linalg.solve(np.eye(a.shape[0]) - a, forcing)
-    except np.linalg.LinAlgError:
+    m = np.eye(a.shape[0]) - a
+    s = np.linalg.svd(m, compute_uv=False)
+    if not s[-1] > RANK_RTOL * s[0]:
         raise ValidationError(
             "initial_state = 'steady' needs a unique DC operating point, but "
             "I - A of the network is singular; use initial_state = 'zero'"
-        ) from None
+        )
+    return np.linalg.solve(m, forcing)
 
 
 def _run_observer(
@@ -473,7 +472,8 @@ def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
-    """Simulate the network, run every agent's observer, scan residuals."""
+    """Simulate the network, run every agent's observer, and scan from the
+    warm-up's end each residual divided by its model sigma (see ``sim``)."""
     validate_config(config)
     spec = config.network
     n = spec.n_bus
@@ -598,7 +598,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     # the physical inputs are spent; the observers read only the blocks
     del u, d, w
 
-    sigmas: dict[int, np.ndarray] = {}
     k_warm = step_index(config.warmup, config.ts, "warmup")
     # every agent's residual channels side by side, so that one monitor
     # call scans them all without copying
@@ -608,25 +607,18 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         i: residual_block[:, start:end]
         for i, start, end in zip(models, bounds[:-1], bounds[1:])
     }
-    x_hat, pi_end = [], {}
+    x_hat, sigma = [], []
     for group, y_block, block in zip(groups, y, inputs):
-        xh, pi_group = _run_observer(
-            models[group[0]],
-            y_block,
-            block,
-            [residuals[i] for i in group],
-            config.freeze_gains,
+        model = models[group[0]]
+        xh, pi = _run_observer(
+            model, y_block, block, [residuals[i] for i in group], config.freeze_gains
         )
         x_hat.append(xh)
-        pi_end.update(dict.fromkeys(group, pi_group))
-    for i, model in models.items():
-        if config.detector.sigma_source == "warmup":
-            sigmas[i] = np.std(residuals[i][1 : k_warm + 1], axis=0)
-        else:
-            # r = C eps + M v with M = I - C H, eps independent of v
-            m = np.eye(model.m) - model.c @ model.structural[0]
-            cov = model.c @ pi_end[i] @ model.c.T + m @ model.r @ m.T
-            sigmas[i] = np.sqrt(np.diag(cov))
+        # C = I: r = eps + M v with M = I - H, eps independent of v
+        m = np.eye(model.m) - model.structural[0]
+        sd = np.sqrt(np.diag(pi + m @ model.r @ m.T))
+        sigma.append(np.tile(sd, (len(group), 1)))
+    sigmas = _by_agent(groups, sigma)
 
     alarms = monitor(
         residual_block[k_warm:],

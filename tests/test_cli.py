@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import io
 import json
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from dcmg.sim import (
 from oracles import savetxt_csv, trace_csv
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
+README = SCENARIO.parents[1] / "README.md"
 
 
 def mini_scenario() -> ScenarioConfig:
@@ -77,9 +80,7 @@ def gnarly_scenario() -> ScenarioConfig:
             ]
         },
         attacks=[AttackSpec(victim=2, source=1, start=0.1, end=0.2, bias=-40.0)],
-        detector=DetectorConfig(
-            kappa=4.0, ewma_alpha=0.2, persistence=3, sigma_source="warmup"
-        ),
+        detector=DetectorConfig(kappa=4.0, ewma_alpha=0.2, persistence=3),
         freeze_gains=False,
     )
 
@@ -122,9 +123,30 @@ def test_digest_is_stable_and_sensitive():
 def test_bundled_scenario_is_canonical():
     config = threebus_attack_scenario()
     assert cli.config_digest(config) == (
-        "3c9cd39a855ea5eb5f6ca3b3a1b08e098b61dfde8b20ca8a9ec4437160c7da26"
+        "d3c2c712bf5171093adedfbb48f2e21c2aa1f00331a2787a6761fb0851777f61"
     )
     assert cli.write_config(config).encode() == SCENARIO.read_bytes()
+
+
+def scenario_keys(cls) -> set[str]:
+    """Every field name of ``cls`` and of the dataclasses its hints nest."""
+    keys, hints = set(), typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        keys.add(field.name)
+        nested = [hints[field.name]]
+        while nested:
+            hint = nested.pop()
+            if dataclasses.is_dataclass(hint):
+                keys |= scenario_keys(hint)
+            nested.extend(typing.get_args(hint))
+    return keys
+
+
+def test_readme_names_every_scenario_key():
+    text = README.read_text()
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert scenario_keys(ScenarioConfig) - named == set()
 
 
 @pytest.mark.parametrize(
@@ -265,6 +287,18 @@ def test_retired_freeze_tol_key_exits_2(tmp_path):
     code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
     assert code == 2
     assert err == "error: scenario: unknown keys ['freeze_tol']\n"
+
+
+def test_retired_sigma_source_key_exits_2(tmp_path):
+    # the detector always divides by the model's sigma, so a file that
+    # still picks a sigma source is rejected, naming the key
+    obj = json.loads(cli.write_config(mini_scenario()))
+    obj["detector"]["sigma_source"] = "warmup"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err == "error: scenario.detector: unknown keys ['sigma_source']\n"
 
 
 def test_off_grid_attack_exits_2_naming_the_field(tmp_path):

@@ -207,7 +207,6 @@ def test_monitor_rejects_wrong_widths(agent_models):
         dict(ewma_alpha=0.0),
         dict(ewma_alpha=1.2),
         dict(persistence=0),
-        dict(sigma_source="guess"),
         dict(kappa=float("nan")),
         dict(kappa=float("inf")),
         dict(kappa=float("-inf")),
