@@ -44,7 +44,10 @@ and the drive rows written straight into the state array, which
 metered layer and measurements read its one model.  The group series,
 of at most eight states, are scanned by one product per row pair, and
 the plant, of 9 or more states, by product-then-add (see ``lti``).  A
-plant state that overflows raises ``NonFinite``.
+plant state that overflows raises ``NonFinite``.  A second thread draws
+each agent's measurement noise into its row of ``y`` while the calling
+one forms the plant and the metered layers; ``y`` is then each metered
+layer plus ``sample_noise`` from the agent's own stream, bit for bit.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -54,6 +57,7 @@ bit from their seeds.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,21 +190,25 @@ class SimulationTrace:
     models: dict[int, AgentModel]
 
 
+def _noise_std(covariance_diag) -> np.ndarray:
+    """The square roots of a diagonal covariance, checked 1-D and >= 0."""
+    var = np.asarray(covariance_diag, dtype=float)
+    if var.ndim != 1:
+        raise NegativeVariance(f"covariance diagonal must be 1-D, got {var.shape}")
+    if (var < 0.0).any():
+        raise NegativeVariance(f"negative variance in {var}")
+    return np.sqrt(var)
+
+
 def sample_noise(stream, covariance_diag, size: int | None = None) -> np.ndarray:
     """Zero-mean Gaussian draws with the given diagonal covariance.
 
     Returns one vector, or a (size, len(diag)) block drawn in a single
     generator call when ``size`` is given.
     """
-    var = np.asarray(covariance_diag, dtype=float)
-    if var.ndim != 1:
-        raise NegativeVariance(f"covariance diagonal must be 1-D, got {var.shape}")
-    if (var < 0.0).any():
-        raise NegativeVariance(f"negative variance in {var}")
-    std = np.sqrt(var)
-    if size is None:
-        return stream.standard_normal(var.shape[0]) * std
-    return stream.standard_normal((size, var.shape[0])) * std
+    std = _noise_std(covariance_diag)
+    shape = std.shape if size is None else (size, std.shape[0])
+    return stream.standard_normal(shape) * std
 
 
 def step_index(t: float, ts: float, what: str = "event time") -> int:
@@ -471,37 +479,11 @@ def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
     return dict(sorted(views))
 
 
-def run_scenario(config: ScenarioConfig) -> SimulationTrace:
-    """Simulate the network, run every agent's observer, and scan from the
-    warm-up's end each residual divided by its model sigma (see ``sim``)."""
-    validate_config(config)
-    spec = config.network
-    n = spec.n_bus
-    gm = build_global(spec)
-    models: dict[int, AgentModel] = {}
-    for i in range(1, n + 1):
-        cont = partition_agent(
-            gm,
-            spec,
-            i,
-            q_state=config.noise.q_state,
-            r_bus=config.noise.r_bus,
-            r_line=config.noise.r_line,
-        )
-        models[i] = discretize_agent(cont, config.ts)
-    plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
-    # agents of equal models propagate their metered layer and run their
-    # observers as one group, which one gain recursion serves
-    by_model: dict[tuple, list[int]] = {}
-    for i, model in models.items():
-        matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
-        key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
-        by_model.setdefault(key, []).append(i)
-    groups = list(by_model.values())
-
-    n_steps = step_index(config.horizon, config.ts, "horizon")
-    times = np.arange(n_steps + 1) * config.ts
-
+def _truth(
+    config: ScenarioConfig, gm, plant, models: dict, groups: list, times: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The plant's states, and each group's input block and metered layer."""
+    spec, n, n_steps = config.network, config.network.n_bus, times.shape[0] - 1
     u = np.column_stack(
         [
             _source_series(
@@ -554,7 +536,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     # one input block per group: row k holds each agent's source setpoint
     # and the neighbour voltages it receives at step k; the last row is
     # held but never consumed, and repeats the last setpoint
-    inputs, x_local, y = [], [], []
+    inputs, x_local = [], []
     for group in groups:
         model = models[group[0]]
         buses = np.array(group) - 1
@@ -572,19 +554,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         loc[:, 0] = x[0, index] * sign
         np.matmul(block[:, :n_steps], model.b_x.T, out=loc[:, 1:])
         loc[:, 1:] += d[:, buses].T[..., None] @ model.e.T
-        loc[:, 1:] += w[:, index].swapaxes(0, 1) * sign[:, None]
+        # one temporary for the signed draws: y is resident by now
+        noise = w[:, index]
+        noise *= sign
+        loc[:, 1:] += noise.swapaxes(0, 1)
+        del noise
         propagate_into(model.a, loc)
         x_local.append(loc)
-        # C = I: each agent measures its metered states, plus noise
-        y_block = loc.copy()
-        if config.noise.inject:
-            for j, i in enumerate(group):
-                y_block[j] += sample_noise(
-                    _stream(config.seeds, _TAG_MEASUREMENT, i),
-                    np.diag(model.r),
-                    size=n_steps + 1,
-                )
-        y.append(y_block)
         # the metered layer has read the true voltages; the observers and
         # comms see what was sent, falsified by the attacks
         for atk in config.attacks:
@@ -595,8 +571,72 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                 k1 = step_index(atk.end, config.ts)
                 block[j, k0:k1, slot] += atk.bias
         inputs.append(block)
-    # the physical inputs are spent; the observers read only the blocks
-    del u, d, w
+    return x, inputs, x_local
+
+
+def run_scenario(config: ScenarioConfig) -> SimulationTrace:
+    """Simulate the network, run every agent's observer, and scan from the
+    warm-up's end each residual divided by its model sigma (see ``sim``)."""
+    validate_config(config)
+    spec = config.network
+    n = spec.n_bus
+    gm = build_global(spec)
+    models: dict[int, AgentModel] = {}
+    for i in range(1, n + 1):
+        cont = partition_agent(
+            gm,
+            spec,
+            i,
+            q_state=config.noise.q_state,
+            r_bus=config.noise.r_bus,
+            r_line=config.noise.r_line,
+        )
+        models[i] = discretize_agent(cont, config.ts)
+    plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
+    # agents of equal models propagate their metered layer and run their
+    # observers as one group, which one gain recursion serves
+    by_model: dict[tuple, list[int]] = {}
+    for i, model in models.items():
+        matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
+        key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
+        by_model.setdefault(key, []).append(i)
+    groups = list(by_model.values())
+
+    n_steps = step_index(config.horizon, config.ts, "horizon")
+    times = np.arange(n_steps + 1) * config.ts
+    # each agent's measurement noise fills its row of its group's y block
+    # on a second thread while this one forms the plant and metered layer
+    y = [np.empty((len(g), n_steps + 1, models[g[0]].m)) for g in groups]
+    jobs = [(g, _noise_std(np.diag(models[g[0]].r)), b) for g, b in zip(groups, y)]
+    failed: list[BaseException] = []
+
+    def draw() -> None:
+        # bench/tracing.py's span stack is not thread-safe: call nothing it
+        # wraps here (``sample_noise`` among them); each row is drawn as
+        # ``sample_noise`` would draw it, from the agent's own stream
+        try:
+            for group, std, block in jobs if config.noise.inject else ():
+                for i, row in zip(group, block):
+                    _stream(config.seeds, _TAG_MEASUREMENT, i).standard_normal(out=row)
+                    row *= std
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    drawer = threading.Thread(target=draw)
+    drawer.start()
+    try:
+        x, inputs, x_local = _truth(config, gm, plant, models, groups, times)
+    finally:
+        # never leave the draws running, nor use a half-filled y
+        drawer.join()
+    if failed:
+        raise failed[0]
+    # C = I: each agent measures its metered states, plus noise
+    for y_block, loc in zip(y, x_local):
+        if config.noise.inject:
+            y_block += loc
+        else:
+            y_block[...] = loc
 
     k_warm = step_index(config.warmup, config.ts, "warmup")
     # every agent's residual channels side by side, so that one monitor

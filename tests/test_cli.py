@@ -5,6 +5,8 @@ import json
 import re
 import subprocess
 import sys
+import threading
+import time
 import typing
 import warnings
 from pathlib import Path
@@ -16,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dcmg.cli as cli
+import dcmg.sim as sim
 from dcmg._csvrows import CHUNK_ROWS, write_rows
 from dcmg.detect import DetectionEvent, DetectorConfig
-from dcmg.errors import DcmgError, ParseError, ValidationError
+from dcmg.errors import DcmgError, NonFinite, ParseError, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
 from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
@@ -556,6 +559,76 @@ def test_overflowing_plant_exits_1_naming_the_step(tmp_path, initial_state, wher
         f"error: plant state is not finite from {where}; "
         "a network parameter or input is too large\n"
     )
+
+
+class _Stream:
+    """A measurement stream that raises ``error`` or, after ``pause``
+    seconds, fills zeros and records the call in ``calls``."""
+
+    def __init__(self, error=None, pause=0.0):
+        self.error, self.pause, self.calls = error, pause, []
+
+    def standard_normal(self, *args, out=None):
+        if self.error is not None:
+            raise self.error
+        time.sleep(self.pause)
+        out[...] = 0.0
+        self.calls.append(out.shape)
+        return out
+
+
+def _measurement_streams(monkeypatch, fake: _Stream) -> None:
+    real = sim._stream
+
+    def stream(seeds, tag, bus=0):
+        return fake if tag == sim._TAG_MEASUREMENT else real(seeds, tag, bus)
+
+    monkeypatch.setattr(sim, "_stream", stream)
+
+
+def test_failed_measurement_draws_exit_1(tmp_path, monkeypatch):
+    # the draws run on a second thread; their error is raised on the
+    # calling one once it has joined it
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+    _measurement_streams(monkeypatch, _Stream(error=MemoryError("no room for y")))
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for y"):
+        run_scenario(mini_scenario())
+    assert threading.active_count() == before
+    code, out, err = run_cli(path, tmp_path / "out")
+    assert (code, out, err) == (1, "", "error: no room for y\n")
+    assert threading.active_count() == before
+
+
+def _lossless() -> ScenarioConfig:
+    cfg = mini_scenario()
+    for bus in cfg.network.buses:
+        bus.r_internal = bus.droop_gain = 0.0
+    for line in cfg.network.lines:
+        line.r_line = 0.0
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: cli.scenario_from_dict(_overflowing("zero")), NonFinite),
+        (_lossless, ValidationError),
+    ],
+    ids=["overflowing", "lossless"],
+)
+def test_main_thread_error_leaves_no_thread_running(monkeypatch, make, error):
+    # each agent's draw outlasts the main thread's failure: the error is
+    # raised only once every row is drawn and the worker has ended
+    config = make()
+    fake = _Stream(pause=0.05)
+    _measurement_streams(monkeypatch, fake)
+    before = threading.active_count()
+    with pytest.raises(error):
+        run_scenario(config)
+    assert len(fake.calls) == 3
+    assert threading.active_count() == before
 
 
 def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from dcmg.sim import (
 )
 from dcmg.uio import discretize_agent, gain_step
 from networks import heterogeneous_network, path_network
-from oracles import observer_loop
+from oracles import observer_loop, propagate_loop, zoh_series
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -585,6 +585,86 @@ def test_local_truth_follows_agent_model():
         u_x = np.array([u_bus] + boundary)
         step = model.a @ loc[k] + model.b_x @ u_x + model.e[:, 0] * d
         assert np.allclose(step, loc[k + 1], rtol=0, atol=1e-6)
+
+
+def unequal_loads(**overrides) -> ScenarioConfig:
+    """The triangle under loads of 500 / 1500 / 1000 A: its steady line
+    currents are far from zero, so each line's orientation shows."""
+    loads = {1: 500.0, 2: 1500.0, 3: 1000.0}
+    profiles = {i: [LoadSegment(t_start=0.0, level=v)] for i, v in loads.items()}
+    return small_scenario(horizon=0.2, load_profiles=profiles, **overrides)
+
+
+def oriented(model, agent: int, state_labels: list[str]):
+    """Agent's states as (index, sign) into the network state, read from
+    the labels: a line the network orients towards the agent is negated."""
+    index, sign = [], []
+    for label in model.labels:
+        if label not in state_labels:
+            label = f"I{label.split('_')[1]}_{agent}"
+            sign.append(-1.0)
+        else:
+            sign.append(1.0)
+        index.append(state_labels.index(label))
+    return np.array(index), np.array(sign)
+
+
+def plant_draws(cfg: ScenarioConfig, trace) -> np.ndarray:
+    """x_true's increments less the series-ZOH prediction: the process
+    draws, under constant sources and loads."""
+    gm = build_global(cfg.network)
+    a, b, e = zoh_series(gm.a_c, gm.b_c, gm.e_c, cfg.ts)
+    u = np.array([bus.v_source_nominal for bus in cfg.network.buses])
+    d = np.array([cfg.load_profiles[i][0].level for i in trace.models])
+    x = trace.x_true
+    return x[1:] - x[:-1] @ a.T - (b @ u + e @ d)
+
+
+def test_metered_layer_matches_a_per_step_replay_from_the_plant():
+    # each agent's own model, stepped one sample at a time from its slice
+    # of x_true[0] under its source, load and the true neighbour voltages,
+    # plus the plant's draws, oriented by state label
+    cfg = unequal_loads()
+    trace = run_scenario(cfg)
+    w, x = plant_draws(cfg, trace), trace.x_true
+    for i, model in trace.models.items():
+        index, sign = oriented(model, i, trace.state_labels)
+        nbrs = [cp.neighbor - 1 for cp in model.couplings]
+        source = cfg.network.buses[i - 1].v_source_nominal
+        u_x = np.column_stack([np.full(len(w), source), x[:-1, nbrs]])
+        drive = u_x @ model.b_x.T + model.e[:, 0] * cfg.load_profiles[i][0].level
+        ref = propagate_loop(model.a, x[0, index] * sign, drive + w[:, index] * sign)
+        assert np.max(np.abs(trace.x_local[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_steady_start_orients_every_agents_slice_and_draws():
+    # from the DC operating point, each agent starts on its oriented slice
+    # of it, and its first step takes the plant's first draw in the same
+    # orientation: the drive of step 0 is the same with noise on or off
+    noisy = run_scenario(unequal_loads())
+    quiet = run_scenario(unequal_loads(noise=NoiseConfig(inject=False)))
+    x0 = noisy.x_true[0]
+    assert np.array_equal(x0, quiet.x_true[0])
+    assert np.min(np.abs(x0[6:])) > 100.0  # line currents, in A
+    for i, model in noisy.models.items():
+        index, sign = oriented(model, i, noisy.state_labels)
+        assert np.array_equal(noisy.x_local[i][0], x0[index] * sign)
+        draw = noisy.x_true[1] - quiet.x_true[1]
+        step = noisy.x_local[i][1] - quiet.x_local[i][1]
+        assert np.max(np.abs(step - draw[index] * sign)) < 1e-9
+
+
+def test_measurements_are_local_truth_plus_each_agents_own_draws():
+    # y is drawn row by row into place; each agent's row equals its metered
+    # layer plus sample_noise from that agent's own stream, bit for bit
+    cfg = small_scenario(network=path_network(), load_profiles={})
+    trace = run_scenario(cfg)
+    assert [model.n for model in trace.models.values()] == [3, 4, 4, 3]
+    n_steps = step_index(cfg.horizon, cfg.ts)
+    for i, model in trace.models.items():
+        stream = sim._stream(cfg.seeds, sim._TAG_MEASUREMENT, i)
+        draws = sample_noise(stream, np.diag(model.r), size=n_steps + 1)
+        assert np.array_equal(trace.y[i], trace.x_local[i] + draws)
 
 
 # ---------------------------------------------------------------------------
