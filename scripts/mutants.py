@@ -1,0 +1,173 @@
+"""A mutation check of the test suite: each mutant is a one-text edit of
+the package, run against tier-1 on its own copy of the repository.
+
+Usage:
+    python3 scripts/mutants.py [NAME ...]
+
+Each mutant (name, file, old text, new text) replaces the one occurrence
+of its old text in a temporary copy of the repository (``.git`` and the
+caches left out), and ``pytest -x`` runs the copy's tests with its own
+``src`` first on the path.  The script prints a Markdown table: the
+test that caught each mutant, or "survived" when every test passed, and
+the seconds each run took.  Names select mutants; the default is all of
+them.  It exits 1 if any mutant survived, and it assumes that tier-1
+passes on the unmutated tree.
+
+It is not part of tier-1: a caught mutant costs up to a full run of the
+suite, and a survivor costs a full run.  The README's tests paragraph
+says what a survivor calls for.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900
+
+# (name, file, old text, new text)
+MUTANTS = [
+    (
+        "unsymmetrized Pi",
+        "src/dcmg/uio.py",
+        "return gains, (pi_next + pi_next.T) / 2.0",
+        "return gains, pi_next",
+    ),
+    ("Q for T Q T^T", "src/dcmg/uio.py", "t @ self.q @ t.T", "self.q"),
+    (
+        "sigma without M R M^T",
+        "src/dcmg/sim.py",
+        "np.sqrt(np.diag(pi + m @ model.r @ m.T))",
+        "np.sqrt(np.diag(pi))",
+    ),
+    (
+        "metered layer reads the wrong load",
+        "src/dcmg/sim.py",
+        "loc[:, 1:] += d[:, buses]",
+        "loc[:, 1:] += d[:, buses - 1]",
+    ),
+    (
+        "metered layer without load",
+        "src/dcmg/sim.py",
+        "        loc[:, 1:] += d[:, buses].T[..., None] @ model.e.T\n",
+        "",
+    ),
+    (
+        "attack window one step late",
+        "src/dcmg/sim.py",
+        "block[j, k0:k1, slot] += atk.bias",
+        "block[j, k0 + 1 : k1 + 1, slot] += atk.bias",
+    ),
+    (
+        "persistence off by one",
+        "src/dcmg/detect.py",
+        "k = starts[long[0]] + config.persistence - 1",
+        "k = starts[long[0]] + config.persistence",
+    ),
+    ("SIGMA_FLOOR = 1", "src/dcmg/detect.py", "SIGMA_FLOOR = 1e-12", "SIGMA_FLOOR = 1.0"),
+    (
+        "one measurement stream per group",
+        "src/dcmg/sim.py",
+        "_stream(config.seeds, _TAG_MEASUREMENT, i).standard_normal",
+        "_stream(config.seeds, _TAG_MEASUREMENT, group[0]).standard_normal",
+    ),
+    (
+        "loose settle tolerance",
+        "src/dcmg/sim.py",
+        "rtol = 4 * model.n * np.finfo(float).eps if",
+        "rtol = 1e-6 if",
+    ),
+    (
+        "state_sign dropped from x0",
+        "src/dcmg/sim.py",
+        "loc[:, 0] = x[0, index] * sign",
+        "loc[:, 0] = x[0, index]",
+    ),
+    (
+        "state_sign dropped from the process noise",
+        "src/dcmg/sim.py",
+        "        noise *= sign\n",
+        "",
+    ),
+    (
+        "trace pieces written in reverse order",
+        "src/dcmg/_csvrows.py",
+        "range(0, text.size, PIECE_BYTES)",
+        "range(0, text.size, PIECE_BYTES)[::-1]",
+    ),
+    (
+        "final writer join dropped",
+        "src/dcmg/_csvrows.py",
+        "        if writer is not None:\n            writer.join()\n    if failed:",
+        "        pass\n    if failed:",
+    ),
+    (
+        "NULs kept in the last piece",
+        "src/dcmg/_csvrows.py",
+        "fh.write(np.compress(piece != 0, piece))",
+        "fh.write(np.compress(piece != 0, piece) if k + PIECE_BYTES < text.size else piece)",
+    ),
+]
+
+_IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"
+)
+
+
+def run_mutant(file: str, old: str, new: str) -> tuple[str, float]:
+    """The first test that fails on the mutated copy, or "survived"."""
+    with tempfile.TemporaryDirectory(prefix="dcmg-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_IGNORED)
+        path = copy / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: the old text occurs {text.count(old)} times")
+        path.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"],
+                cwd=copy,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
+        seconds = time.perf_counter() - start
+    if proc.returncode == 0:
+        return "survived", seconds
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return (f"`{failed[1]}`" if failed else f"pytest exit {proc.returncode}"), seconds
+
+
+def main(argv: list[str]) -> int:
+    names = {name for name, *_ in MUTANTS}
+    unknown = sorted(set(argv) - names)
+    if unknown:
+        print(f"error: unknown mutant {unknown[0]!r}", file=sys.stderr)
+        return 2
+    print("| mutant | file | caught by | s |")
+    print("|---|---|---|---|")
+    survived = 0
+    for name, file, old, new in MUTANTS:
+        if argv and name not in argv:
+            continue
+        result, seconds = run_mutant(file, old, new)
+        survived += result == "survived"
+        print(f"| {name} | `{file}` | {result} | {seconds:.1f} |", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,15 +11,25 @@ correctly rounded 17-digit mantissa.  Values that print in fixed notation
 (-4 <= e <= 16) are laid out from it, zeros are written directly, and every
 other value (non-finite, tiny, huge) is formatted by Python's ``%``, once
 per distinct bit pattern.
+
+``write_rows`` splits each block of CHUNK_ROWS rows between two threads:
+the calling thread forms the block's masked slots, and a second thread
+deletes their NULs and writes the text, PIECE_BYTES at a time, while the
+calling thread forms the next block.  ``np.compress`` releases the GIL,
+where ``bytes.translate`` would not.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
 CHUNK_ROWS = 1024
+# slot bytes the writer compacts at a time: compress builds an int64 index
+# of every byte it keeps, which over a whole block would raise the peak RSS
+PIECE_BYTES = 1 << 16
 
 # Each field fills a slot of 5 little-endian uint64 words (40 bytes):
 #   byte 0       '-'
@@ -28,8 +38,8 @@ CHUNK_ROWS = 1024
 #   bytes 6-38   d0 . d1 . ... . d16 the 17 mantissa digits, a point after
 #                                    each, so the point after d_e is in place
 #   byte 39      ',' or '\n'
-# A keep-mask sets every byte the field does not show to NUL, and the NULs
-# are deleted from the joined block.
+# A keep-mask sets every byte the field does not show to NUL, and the writer
+# deletes the NULs.
 _WORDS = 5
 _FIRST, _COMMA, _NEWLINE = 30000, 10000, 20000
 _ZERO_MASK = 21 * 17 * 2  # then negative zero, then keep-all
@@ -97,12 +107,14 @@ def _scaled(x, e, pow10):
     return hi, lo, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def format_rows(block: np.ndarray) -> bytes:
-    """CSV text of a 2-D float64 array, every field as ``%.17g``."""
+def _slots(block: np.ndarray) -> np.ndarray:
+    """CSV text of a 2-D float64 array, every field as ``%.17g``, with NULs
+    between the characters: the masked ``(fields, 5)`` uint64 slots in row
+    order (for a block without fields, its newlines as uint8)."""
     block = np.ascontiguousarray(block, dtype=float)
     r, c = block.shape
     if r * c == 0:
-        return b"\n" * r
+        return np.full(r, ord("\n"), np.uint8)
     words_table, trailing_zeros, masks, pow10 = _tables()
     v = block.ravel()
     x = np.abs(v)
@@ -156,14 +168,44 @@ def format_rows(block: np.ndarray) -> bytes:
         words[slow, 4] &= np.uint64(0xFF << 56)
         code[slow] = _KEEP_ALL
     words &= np.take(masks, code, axis=0, mode="clip")
-    return words.tobytes().translate(None, b"\0")
+    return words
 
 
 def write_rows(fh, columns) -> None:
     """Write the side-by-side concatenation of ``columns`` (1-D and 2-D
     arrays of equal length) to the binary file ``fh``, CHUNK_ROWS rows at a
-    time, without forming the whole matrix."""
+    time, without forming the whole matrix.
+
+    A second thread writes each block while this one forms the next.  An
+    error of the writer is raised here, and no later block is written."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    for k in range(0, len(columns[0]), CHUNK_ROWS):
-        block = [c[k : k + CHUNK_ROWS] for c in columns]
-        fh.write(format_rows(np.concatenate(block, axis=1, dtype=float)))
+    failed: list[BaseException] = []
+
+    def write(slots: np.ndarray) -> None:
+        # bench/tracing.py's span stack is not thread-safe: call nothing it
+        # wraps here
+        text = slots.view(np.uint8).reshape(-1)
+        try:
+            for k in range(0, text.size, PIECE_BYTES):
+                piece = text[k : k + PIECE_BYTES]
+                fh.write(np.compress(piece != 0, piece))
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    writer = None
+    try:
+        for k in range(0, len(columns[0]), CHUNK_ROWS):
+            block = [c[k : k + CHUNK_ROWS] for c in columns]
+            slots = _slots(np.concatenate(block, axis=1, dtype=float))
+            if writer is not None:
+                writer.join()  # keeps the blocks in order
+            if failed:
+                break
+            writer = threading.Thread(target=write, args=(slots,))
+            writer.start()
+    finally:
+        # never return while a block is still being written
+        if writer is not None:
+            writer.join()
+    if failed:
+        raise failed[0]

@@ -278,7 +278,9 @@ def export_trace_csv(trace: SimulationTrace, path) -> None:
     0/1 latched-alarm flag per agent, floats at 17 significant digits.
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``,
-    produced a block of rows at a time by :mod:`dcmg._csvrows`.  The exact
+    produced a block of rows at a time by :mod:`dcmg._csvrows`: this thread
+    forms each block's fixed-width slots, and a second thread deletes their
+    padding and writes the text while this one forms the next.  The exact
     two-product of |x| and a power of ten gives the 17-digit mantissa,
     rounded half to even as ``%.17g`` rounds, and zeros are written
     directly.  Non-finite values, values outside 1e-5 <= |x| < 1e16 and

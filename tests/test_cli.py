@@ -756,10 +756,55 @@ def _rows(n, width=3):
 @example(_rows(1))
 @example(_rows(CHUNK_ROWS))
 @example(_rows(CHUNK_ROWS + 1))
+# four blocks, written in order by the writer thread; and one block of
+# 1000 x 7 fields of 40 slot bytes, 4.3 pieces of PIECE_BYTES
+@example(_rows(3 * CHUNK_ROWS + 5))
+@example(_rows(1000, width=7))
 def test_block_writer_matches_savetxt(data):
     buf = io.BytesIO()
     write_rows(buf, [data])
     assert buf.getvalue() == savetxt_csv(data)
+
+
+class _FailingFile:
+    """A binary file whose ``write`` takes ``pause`` seconds, records its
+    data in ``calls`` and raises ``OSError`` on its third call."""
+
+    def __init__(self, pause=0.0):
+        self.pause, self.calls = pause, []
+
+    def write(self, data):
+        time.sleep(self.pause)
+        self.calls.append(bytes(data))
+        if len(self.calls) == 3:
+            raise OSError("disk full")
+        return len(data)
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS + 5, 3 * CHUNK_ROWS + 5], ids=["last", "second"])
+def test_block_writer_raises_the_writers_error_and_writes_nothing_after(n):
+    # a block of 3 columns is two pieces, so the third write is the first
+    # of the second block: the last block, or one with two more after it.
+    # Each write is slow, so a writer left running would outlive the call
+    fh = _FailingFile(pause=0.02)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="disk full"):
+        write_rows(fh, [_rows(n)])
+    assert threading.active_count() == before
+    assert len(fh.calls) == 3
+    written = b"".join(fh.calls)
+    assert written == savetxt_csv(_rows(n))[: len(written)]
+
+
+def test_failed_trace_write_exits_1(tmp_path, monkeypatch):
+    path = tmp_path / "mini.json"
+    cli.write_config(mini_scenario(), path)
+    real = cli.write_rows
+    monkeypatch.setattr(cli, "write_rows", lambda fh, columns: real(_FailingFile(), columns))
+    before = threading.active_count()
+    code, out, err = run_cli(path, tmp_path / "out")
+    assert (code, out, err) == (1, "", "error: disk full\n")
+    assert threading.active_count() == before
 
 
 def test_events_csv_header(mini_run):
