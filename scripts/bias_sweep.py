@@ -10,8 +10,9 @@ after onset, and the peak EWMA statistic.  Small biases drown in the
 line-current noise floor; the table shows where the detector's
 sensitivity actually starts.
 
-A malformed bias list or an invalid scenario (say, a negative seed)
-prints one ``error:`` line and exits 2; a run or write that fails exits 1.
+A malformed bias list or an invalid scenario (say, a negative seed, or
+models that cannot be built) prints one ``error:`` line and exits 2
+before any run; a run or write that fails exits 1.
 The CSV is opened before the first run, so an unwritable ``--out`` fails
 before any bias is simulated.
 """
@@ -32,9 +33,9 @@ from dcmg.presets import threebus_attack_scenario  # noqa: E402
 from dcmg.sim import (  # noqa: E402
     AttackSpec,
     LoadSegment,
+    prepare,
     run_scenario,
     step_index,
-    validate_config,
 )
 
 ONSET = 1.0
@@ -85,7 +86,7 @@ def main() -> int:
     configs = [scenario(bias, args.seed) for bias in args.biases]
     try:
         for config in configs:
-            validate_config(config)
+            prepare(config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,25 @@ MUTANTS = [
         "fh.write(np.compress(piece != 0, piece))",
         "fh.write(np.compress(piece != 0, piece) if k + PIECE_BYTES < text.size else piece)",
     ),
+    (
+        "--validate-only skips prepare",
+        "src/dcmg/cli.py",
+        "        if validate_only:\n            prepare(config)\n",
+        "        if validate_only:\n            pass\n",
+    ),
+    (
+        "non-finite model check dropped",
+        "src/dcmg/lti.py",
+        "    if not np.isfinite(ex).all():\n"
+        '        raise NonFinite(f"the model\'s zero-order hold at ts = {ts!r} is not finite")\n',
+        "",
+    ),
+    (
+        "ValidationError from a run exits 1",
+        "src/dcmg/cli.py",
+        "return 2 if isinstance(exc, (ParseError, ValidationError)) else 1",
+        "return 2 if isinstance(exc, ParseError) else 1",
+    ),
 ]
 
 _IGNORED = shutil.ignore_patterns(

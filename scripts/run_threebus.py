@@ -27,7 +27,7 @@ from dcmg.cli import (  # noqa: E402
     load_config,
     write_artifacts,
 )
-from dcmg.errors import DcmgError  # noqa: E402
+from dcmg.errors import DcmgError, ValidationError  # noqa: E402
 from dcmg.sim import run_scenario, step_index  # noqa: E402
 
 DEFAULT = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
@@ -76,8 +76,9 @@ def main() -> int:
         trace = run_scenario(config)
         report = write_artifacts(config, trace, time.perf_counter() - t0, args.out)
     except RUN_ERRORS as exc:
+        # as in ``dcmg run``: a model that cannot be built is an invalid scenario
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
     print(format_report(report))
 
     print(f"agent-1 residual means in sigmas ({', '.join(trace.models[1].labels)}):")

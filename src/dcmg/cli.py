@@ -2,7 +2,7 @@
 export trace/event/report artifacts.
 
 Exit codes: 0 on success, 1 when a valid scenario fails at run time,
-2 when the scenario file cannot be parsed or validated.
+2 when the file cannot be parsed or its scenario or models are invalid.
 """
 
 from __future__ import annotations
@@ -28,12 +28,15 @@ from .errors import DcmgError, ParseError, ValidationError
 from .sim import (
     ScenarioConfig,
     SimulationTrace,
+    prepare,
     run_scenario,
     step_index,
     validate_config,
 )
 
-# what a valid scenario can raise at run time, reported as exit 1
+# what ``run`` reports as one error line: exit 2 for a file that cannot be
+# read (ParseError) or describes no runnable scenario (ValidationError,
+# from decoding, validate_config or prepare), exit 1 for anything else
 RUN_ERRORS = (DcmgError, np.linalg.LinAlgError, OSError, MemoryError)
 
 
@@ -151,6 +154,9 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _encode(config)
 
 
+# loading decodes and checks the fields (validate_config) but builds no
+# model, so it never imports scipy; sim.prepare builds the models, for
+# ``--validate-only`` and at the start of every run
 def load_config(
     path, seed: int | None = None, ts: float | None = None
 ) -> ScenarioConfig:
@@ -334,22 +340,18 @@ def run(
     stderr = sys.stderr if stderr is None else stderr
     try:
         config = load_config(config_path, seed=seed_override, ts=ts_override)
-    except DcmgError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    if validate_only:
-        if not quiet:
-            print(f"{config_path}: ok", file=stdout)
-        return 0
-    try:
-        t0 = time.perf_counter()
-        trace = run_scenario(config)
-        report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
+        if validate_only:
+            prepare(config)
+        else:
+            t0 = time.perf_counter()
+            trace = run_scenario(config)
+            report = write_artifacts(config, trace, time.perf_counter() - t0, out_dir)
     except RUN_ERRORS as exc:
         print(f"error: {exc}", file=stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValidationError)) else 1
     if not quiet:
-        print(format_report(report), file=stdout, end="")
+        text = f"{config_path}: ok\n" if validate_only else format_report(report)
+        print(text, file=stdout, end="")
     return 0
 
 

@@ -67,7 +67,7 @@ def discretize_zoh(
     Embeds the system in the augmented matrix [[a_c, b_c, e_c], [0, 0, 0]]
     whose exponential (scaled by ts) yields A = exp(a_c ts) in the top-left
     block and the held-input integrals int_0^ts exp(a_c s) ds [b_c | e_c]
-    alongside it.
+    alongside it.  A result that overflows raises ``NonFinite``.
     """
     a_c = np.asarray(a_c, dtype=float)
     b_c = np.asarray(b_c, dtype=float)
@@ -88,6 +88,8 @@ def discretize_zoh(
     aug[:n, :n] = a_c * ts
     aug[:n, n:] = np.hstack([b_c, e_c]) * ts
     ex = matrix_exponential(aug)
+    if not np.isfinite(ex).all():
+        raise NonFinite(f"the model's zero-order hold at ts = {ts!r} is not finite")
     return DiscreteModel(
         a=ex[:n, :n], b=ex[:n, n : n + nb], e=ex[:n, n + nb :], ts=ts
     )
@@ -98,7 +100,8 @@ def left_pinv(m: np.ndarray) -> np.ndarray:
 
     Computed through the SVD for conditioning; raises ``RankDeficient``
     when the smallest singular value of m^T m falls below ``RANK_RTOL``
-    times the largest (or the matrix cannot have full column rank at all).
+    times the largest, when the matrix cannot have full column rank at
+    all, or when a singular value is subnormal, below 2.2e-308.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -113,6 +116,8 @@ def left_pinv(m: np.ndarray) -> np.ndarray:
         raise RankDeficient(
             f"column rank below {cols}: singular values span {s[-1]:.3e}..{s[0]:.3e}"
         )
+    if s[-1] < np.finfo(float).tiny:  # 1 / s could overflow
+        raise RankDeficient(f"singular value {s[-1]:.3e} is too small to invert")
     return (vt.T / s) @ u.T
 
 

@@ -6,6 +6,13 @@ exchanged neighbour voltages, then runs every agent's unknown-input
 observer on its own measurements plus the (possibly falsified) received
 voltages, and finally feeds the residual streams to the detector.
 
+``run_scenario`` runs five stages.  ``prepare`` owns scenario validity:
+it checks the fields, then builds the plan, every model and x_0, so
+that a scenario whose models cannot be built fails as invalid before
+any series exists.  ``_plant`` forms the physical layer, ``_metered``
+each group's input block and metered layer, ``_run_observer`` each
+group's observers, and ``monitor`` scans the residuals.
+
 The truth has two layers, the standard decoupling for sampled-data
 co-simulation.  A monolithic physical layer -- the wired-up network,
 ZOH-discretized as one system, exact for the piecewise-constant sources
@@ -37,17 +44,14 @@ at most a tolerance: 4 n eps max|Pi| with ``freeze_gains``, and zero
 an LTI recursion in z with that step's gains, which all its agents run
 together as one ``lti.propagate_into``.  The detector divides each
 residual by sqrt(diag(Pi + M R M^T)) of its group's final Pi, with
-M = I - H, never by a spread estimated from the data.  The plant's
-series and each group's metered-layer series are formed in place, x_0
-and the drive rows written straight into the state array, which
-``lti.propagate_into`` then scans by odd-even reduction; a group's
-metered layer and measurements read its one model.  The group series,
-of at most eight states, are scanned by one product per row pair, and
-the plant, of 9 or more states, by product-then-add (see ``lti``).  A
-plant state that overflows raises ``NonFinite``.  A second thread draws
-each agent's measurement noise into its row of ``y`` while the calling
-one forms the plant and the metered layers; ``y`` is then each metered
-layer plus ``sample_noise`` from the agent's own stream, bit for bit.
+M = I - H, never by a spread estimated from the data.  Every state
+series is formed in place, x_0 and the drive rows written straight into
+the state array, and scanned by ``lti.propagate_into``; a group's
+metered layer and measurements read its one model.  A plant state that
+overflows raises ``NonFinite``.  A second thread draws each agent's
+measurement noise into its row of ``y`` while the calling one forms the
+plant and the metered layers; ``y`` is then each metered layer plus
+``sample_noise`` from the agent's own stream, bit for bit.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -64,15 +68,16 @@ import numpy as np
 
 from .detect import DetectionEvent, DetectorConfig, monitor
 from .errors import (
+    DcmgError,
     InvalidTopology,
     NegativeVariance,
     NonFinite,
     NonPositiveInput,
     ValidationError,
 )
-from .lti import RANK_RTOL, discretize_zoh, propagate_into
+from .lti import RANK_RTOL, DiscreteModel, discretize_zoh, propagate_into
 from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
-from .netmodel import NetworkSpec, build_global, partition_agent
+from .netmodel import GlobalModel, NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
 
 _TAG_PROCESS = 0
@@ -390,13 +395,10 @@ def _source_series(
 
 
 def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """Fixed point ``(I - a) x = forcing`` of a held-input recursion.
-
-    For a ZOH-discretized system this coincides exactly with the
-    continuous equilibrium, so a noise-free run started here sits still.
-    A network whose ``I - a`` is singular to ``RANK_RTOL``, as a lossless
-    one's is, has no steady start and raises ``ValidationError``.
-    """
+    """Fixed point ``(I - a) x = forcing`` of a held-input recursion: for a
+    ZOH plant, exactly the continuous equilibrium, so a noise-free run
+    started here sits still.  An ``I - a`` singular to ``RANK_RTOL``, as a
+    lossless network's is, has no steady start: ``ValidationError``."""
     m = np.eye(a.shape[0]) - a
     s = np.linalg.svd(m, compute_uv=False)
     if not s[-1] > RANK_RTOL * s[0]:
@@ -405,6 +407,64 @@ def _dc_operating_point(a: np.ndarray, forcing: np.ndarray) -> np.ndarray:
             "I - A of the network is singular; use initial_state = 'zero'"
         )
     return np.linalg.solve(m, forcing)
+
+
+@dataclass
+class Plan:
+    """What a run reads before any series exists (see ``prepare``)."""
+
+    config: ScenarioConfig
+    gm: GlobalModel
+    plant: DiscreteModel
+    models: dict[int, AgentModel]
+    groups: list[list[int]]
+    n_steps: int
+    x0: np.ndarray
+
+
+def prepare(config: ScenarioConfig) -> Plan:
+    """Validate a scenario and build its plan: the network model and its
+    ZOH plant, every agent's model and structural gains, the groups of
+    equal models, the step count and x_0, nothing of horizon length.  A
+    model or a steady start that cannot be built raises ValidationError."""
+    validate_config(config)
+    spec, noise = config.network, config.noise
+    gm = build_global(spec)
+    models: dict[int, AgentModel] = {}
+    for i in range(1, spec.n_bus + 1):
+        cont = partition_agent(
+            gm, spec, i, q_state=noise.q_state, r_bus=noise.r_bus, r_line=noise.r_line
+        )
+        try:
+            models[i] = discretize_agent(cont, config.ts)
+        except DcmgError as exc:
+            raise ValidationError(f"network: bus {i}: {exc}") from exc
+    try:
+        plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
+    except DcmgError as exc:
+        raise ValidationError(f"network: {exc}") from exc
+    # agents of equal models propagate their metered layer and run their
+    # observers as one group, which one gain recursion serves
+    by_model: dict[tuple, list[int]] = {}
+    for i, model in models.items():
+        matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
+        key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
+        by_model.setdefault(key, []).append(i)
+
+    x0 = np.zeros(gm.n_state)
+    if config.initial_state == "steady":
+        # the step-0 inputs, as the plant's series hold them
+        u0 = [bus.v_source_nominal for bus in spec.buses]
+        d0 = [0.0] * spec.n_bus
+        for i, steps in config.source_schedule.items():
+            u0[i - 1] = steps[0].volts
+        for i, segments in config.load_profiles.items():
+            d0[i - 1] = segments[0].level
+        # an overflow is the plant's to report, at step 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = _dc_operating_point(plant.a, plant.b @ u0 + plant.e @ d0)
+    n_steps = step_index(config.horizon, config.ts, "horizon")
+    return Plan(config, gm, plant, models, list(by_model.values()), n_steps, x0)
 
 
 def _run_observer(
@@ -479,11 +539,11 @@ def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
     return dict(sorted(views))
 
 
-def _truth(
-    config: ScenarioConfig, gm, plant, models: dict, groups: list, times: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The plant's states, and each group's input block and metered layer."""
-    spec, n, n_steps = config.network, config.network.n_bus, times.shape[0] - 1
+def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The monolithic physical layer's states from x_0, and its drives:
+    source setpoints u, loads d and process draws w, one row per step."""
+    config, gm, plant, n_steps = plan.config, plan.gm, plan.plant, plan.n_steps
+    spec, n = config.network, config.network.n_bus
     u = np.column_stack(
         [
             _source_series(
@@ -514,14 +574,11 @@ def _truth(
     else:
         w = np.zeros((n_steps, gm.n_state))
 
-    # monolithic physical layer: exported state and boundary voltages; an
-    # overflow is reported below as the step it reached, not as warnings
+    # exported state and boundary voltages; an overflow is reported below
+    # as the step it reached, not as warnings
     x = np.empty((n_steps + 1, gm.n_state))
+    x[0] = plan.x0
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.initial_state == "steady":
-            x[0] = _dc_operating_point(plant.a, plant.b @ u[0] + plant.e @ d[0])
-        else:
-            x[0] = 0.0
         np.matmul(u, plant.b.T, out=x[1:])
         x[1:] += d @ plant.e.T
         x[1:] += w
@@ -532,12 +589,18 @@ def _truth(
             f"plant state is not finite from step {k} (t = {times[k]:g} s); "
             "a network parameter or input is too large"
         )
+    return x, u, d, w
 
+
+def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each group's input block and metered layer, from the plant's states
+    and drives."""
+    config, models, n_steps = plan.config, plan.models, plan.n_steps
     # one input block per group: row k holds each agent's source setpoint
     # and the neighbour voltages it receives at step k; the last row is
     # held but never consumed, and repeats the last setpoint
     inputs, x_local = [], []
-    for group in groups:
+    for group in plan.groups:
         model = models[group[0]]
         buses = np.array(group) - 1
         nbrs = [[cp.neighbor - 1 for cp in models[i].couplings] for i in group]
@@ -571,38 +634,14 @@ def _truth(
                 k1 = step_index(atk.end, config.ts)
                 block[j, k0:k1, slot] += atk.bias
         inputs.append(block)
-    return x, inputs, x_local
+    return inputs, x_local
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     """Simulate the network, run every agent's observer, and scan from the
     warm-up's end each residual divided by its model sigma (see ``sim``)."""
-    validate_config(config)
-    spec = config.network
-    n = spec.n_bus
-    gm = build_global(spec)
-    models: dict[int, AgentModel] = {}
-    for i in range(1, n + 1):
-        cont = partition_agent(
-            gm,
-            spec,
-            i,
-            q_state=config.noise.q_state,
-            r_bus=config.noise.r_bus,
-            r_line=config.noise.r_line,
-        )
-        models[i] = discretize_agent(cont, config.ts)
-    plant = discretize_zoh(gm.a_c, gm.b_c, gm.e_c, config.ts)
-    # agents of equal models propagate their metered layer and run their
-    # observers as one group, which one gain recursion serves
-    by_model: dict[tuple, list[int]] = {}
-    for i, model in models.items():
-        matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
-        key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
-        by_model.setdefault(key, []).append(i)
-    groups = list(by_model.values())
-
-    n_steps = step_index(config.horizon, config.ts, "horizon")
+    plan = prepare(config)
+    models, groups, n_steps = plan.models, plan.groups, plan.n_steps
     times = np.arange(n_steps + 1) * config.ts
     # each agent's measurement noise fills its row of its group's y block
     # on a second thread while this one forms the plant and metered layer
@@ -625,7 +664,9 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     drawer = threading.Thread(target=draw)
     drawer.start()
     try:
-        x, inputs, x_local = _truth(config, gm, plant, models, groups, times)
+        x, *drives = _plant(plan, times)
+        inputs, x_local = _metered(plan, x, *drives)
+        del drives  # kept through the observers, u, d and w would raise the peak RSS
     finally:
         # never leave the draws running, nor use a half-filled y
         drawer.join()
@@ -674,7 +715,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     return SimulationTrace(
         times=times,
         x_true=x,
-        state_labels=list(gm.state_labels),
+        state_labels=list(plan.gm.state_labels),
         y=_by_agent(groups, y),
         comms=_by_agent(groups, [block[..., 1:] for block in inputs]),
         x_local=_by_agent(groups, x_local),

@@ -611,24 +611,71 @@ def _lossless() -> ScenarioConfig:
 
 
 @pytest.mark.parametrize(
-    "make, error",
+    "make, error, draws",
     [
-        (lambda: cli.scenario_from_dict(_overflowing("zero")), NonFinite),
-        (_lossless, ValidationError),
+        (lambda: cli.scenario_from_dict(_overflowing("zero")), NonFinite, 3),
+        (_lossless, ValidationError, 0),
     ],
     ids=["overflowing", "lossless"],
 )
-def test_main_thread_error_leaves_no_thread_running(monkeypatch, make, error):
+def test_main_thread_error_leaves_no_thread_running(monkeypatch, make, error, draws):
     # each agent's draw outlasts the main thread's failure: the error is
-    # raised only once every row is drawn and the worker has ended
+    # raised only once every row is drawn and the worker has ended.  A
+    # scenario that ``prepare`` rejects fails before the worker starts.
     config = make()
     fake = _Stream(pause=0.05)
     _measurement_streams(monkeypatch, fake)
     before = threading.active_count()
     with pytest.raises(error):
         run_scenario(config)
-    assert len(fake.calls) == 3
+    assert len(fake.calls) == draws
     assert threading.active_count() == before
+
+
+def _cut(edits) -> dict:
+    """A 0.05 s cut of the bundled scenario with ``edits`` applied: no
+    attack, and each load profile's first segment only."""
+    scn = _edited(
+        _BUNDLED, [(("horizon",), 0.05), (("warmup",), 0.01), (("attacks",), []), *edits]
+    )
+    for segments in scn["load_profiles"].values():
+        del segments[1:]
+    return scn
+
+
+@pytest.mark.parametrize(
+    "edits, where",
+    [
+        # no resistance anywhere: I - A is singular, so no steady start
+        (
+            [(("network", "buses", b, "r_internal"), 0.0) for b in range(3)]
+            + [(("network", "buses", b, "droop_gain"), 0.0) for b in range(3)]
+            + [(("network", "lines", j, "r_line"), 0.0) for j in range(3)],
+            "initial_state = 'steady'",
+        ),
+        # rates of 1e200 per second: no agent ZOH is finite
+        ([(("network", "buses", b, "c_output"), 1e-200) for b in range(3)], "network: bus 1: "),
+        # C E of about 1e-309 on bus 1: H would overflow
+        (
+            [(("network", "buses", 0, "c_output"), 1e305), (("initial_state",), "zero")],
+            "network: bus 1: ",
+        ),
+    ],
+    ids=["lossless", "tiny_capacitance", "huge_capacitance"],
+)
+def test_unbuildable_model_exits_2_naming_the_field(tmp_path, edits, where):
+    # the models are part of the scenario: --validate-only builds them, and
+    # a run fails the same way, before any series or directory exists
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_cut(edits)))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for validate_only in (True, False):
+            code, out, err = run_cli(path, out_dir, validate_only=validate_only)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {where}") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):
@@ -962,6 +1009,21 @@ def test_run_threebus_script(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    # fields valid, but no steady start: the run exits 2 as ``dcmg run``
+    # does, before it writes anything
+    lossless, lossless_out = tmp_path / "lossless.json", tmp_path / "lossless_out"
+    cli.write_config(_lossless(), lossless)
+    proc = subprocess.run(
+        [sys.executable, str(script), str(lossless), "--out", str(lossless_out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: initial_state = 'steady' needs a unique DC")
+    assert proc.stderr.count("\n") == 1
+    assert not lossless_out.exists()
 
     # valid, then the plant state overflows at run time
     huge = tmp_path / "huge.json"

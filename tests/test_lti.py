@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,10 @@ def test_zoh_rejects_bad_inputs():
         discretize_zoh(a, np.zeros((3, 1)), e, 1e-4)
     with pytest.raises(DimensionMismatch):
         discretize_zoh(a, b, np.zeros((3, 1)), 1e-4)
+    # an LC pair with C = 1e-200: rates of 1e200 per second leave no
+    # finite ZOH at ts = 1e-4, which is reported instead of returned
+    with pytest.raises(NonFinite, match="zero-order hold at ts = 0.0001"):
+        discretize_zoh(np.array([[0.0, 1e200], [-1e200, 0.0]]), b, e, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +358,17 @@ def test_left_pinv_duplicate_columns_rejected():
     col = RNG.standard_normal((4, 1))
     with pytest.raises(RankDeficient):
         left_pinv(np.hstack([col, col]))
+
+
+def test_left_pinv_subnormal_singular_values_rejected():
+    # well conditioned, but 1 / 1e-309 overflows: an error, not a warning
+    # and an infinite inverse; at 1e-300 the inverse is still exact
+    m = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 2)))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient, match="too small to invert"):
+            left_pinv(m * 1e-309)
+        assert np.abs(left_pinv(m * 1e-300) @ (m * 1e-300) - np.eye(2)).max() < 1e-12
 
 
 def test_left_pinv_wide_matrix_rejected():
