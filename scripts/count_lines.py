@@ -14,6 +14,7 @@ total last.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -73,4 +74,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (``| head``): as the Python docs advise, point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -103,10 +103,16 @@ MUTANTS = [
         "range(0, text.size, PIECE_BYTES)[::-1]",
     ),
     (
-        "final writer join dropped",
+        "last written.result() dropped",
         "src/dcmg/_csvrows.py",
-        "        if writer is not None:\n            writer.join()\n    if failed:",
-        "        pass\n    if failed:",
+        "        if written is not None:\n            written.result()\n",
+        "",
+    ),
+    (
+        "drawn.result() dropped",
+        "src/dcmg/sim.py",
+        "    drawn.result()\n",
+        "",
     ),
     (
         "NULs kept in the last piece",

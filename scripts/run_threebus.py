@@ -68,8 +68,6 @@ def main() -> int:
     except DcmgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"scenario {args.scenario}")
-    print(f"digest   {config_digest(config)}")
 
     try:
         t0 = time.perf_counter()
@@ -79,6 +77,9 @@ def main() -> int:
         # as in ``dcmg run``: a model that cannot be built is an invalid scenario
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 1
+    # printed only now: a scenario that fails leaves nothing on stdout
+    print(f"scenario {args.scenario}")
+    print(f"digest   {config_digest(config)}")
     print(format_report(report))
 
     print(f"agent-1 residual means in sigmas ({', '.join(trace.models[1].labels)}):")

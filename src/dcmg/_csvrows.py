@@ -13,16 +13,15 @@ other value (non-finite, tiny, huge) is formatted by Python's ``%``, once
 per distinct bit pattern.
 
 ``write_rows`` splits each block of CHUNK_ROWS rows between two threads:
-the calling thread forms the block's masked slots, and a second thread
-deletes their NULs and writes the text, PIECE_BYTES at a time, while the
-calling thread forms the next block.  ``np.compress`` releases the GIL,
-where ``bytes.translate`` would not.
+the calling thread forms the block's masked slots, and the worker of a
+one-thread executor deletes their NULs and writes the text, PIECE_BYTES at
+a time, while the calling thread forms the next block.  ``np.compress``
+releases the GIL, where ``bytes.translate`` would not.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 
@@ -176,36 +175,31 @@ def write_rows(fh, columns) -> None:
     arrays of equal length) to the binary file ``fh``, CHUNK_ROWS rows at a
     time, without forming the whole matrix.
 
-    A second thread writes each block while this one forms the next.  An
-    error of the writer is raised here, and no later block is written."""
+    The executor's worker writes each block while this thread forms the
+    next.  ``result()`` re-raises the worker's error here, and no later
+    block is written."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    failed: list[BaseException] = []
 
     def write(slots: np.ndarray) -> None:
         # bench/tracing.py's span stack is not thread-safe: call nothing it
         # wraps here
         text = slots.view(np.uint8).reshape(-1)
-        try:
-            for k in range(0, text.size, PIECE_BYTES):
-                piece = text[k : k + PIECE_BYTES]
-                fh.write(np.compress(piece != 0, piece))
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
+        for k in range(0, text.size, PIECE_BYTES):
+            piece = text[k : k + PIECE_BYTES]
+            fh.write(np.compress(piece != 0, piece))
 
-    writer = None
-    try:
+    # imported here: it loads logging, which ``import dcmg`` never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block waits for the worker: never return while a block
+    # is still being written
+    with ThreadPoolExecutor(1) as pool:
+        written = None
         for k in range(0, len(columns[0]), CHUNK_ROWS):
             block = [c[k : k + CHUNK_ROWS] for c in columns]
             slots = _slots(np.concatenate(block, axis=1, dtype=float))
-            if writer is not None:
-                writer.join()  # keeps the blocks in order
-            if failed:
-                break
-            writer = threading.Thread(target=write, args=(slots,))
-            writer.start()
-    finally:
-        # never return while a block is still being written
-        if writer is not None:
-            writer.join()
-    if failed:
-        raise failed[0]
+            if written is not None:
+                written.result()  # keeps the blocks in order
+            written = pool.submit(write, slots)
+        if written is not None:
+            written.result()

@@ -48,8 +48,8 @@ M = I - H, never by a spread estimated from the data.  Every state
 series is formed in place, x_0 and the drive rows written straight into
 the state array, and scanned by ``lti.propagate_into``; a group's
 metered layer and measurements read its one model.  A plant state that
-overflows raises ``NonFinite``.  A second thread draws each agent's
-measurement noise into its row of ``y`` while the calling one forms the
+overflows raises ``NonFinite``.  An executor's worker draws each agent's
+measurement noise into its row of ``y`` while the calling thread forms the
 plant and the metered layers; ``y`` is then each metered layer plus
 ``sample_noise`` from the agent's own stream, bit for bit.
 
@@ -61,7 +61,6 @@ bit from their seeds.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -644,34 +643,31 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     models, groups, n_steps = plan.models, plan.groups, plan.n_steps
     times = np.arange(n_steps + 1) * config.ts
     # each agent's measurement noise fills its row of its group's y block
-    # on a second thread while this one forms the plant and metered layer
+    # on the executor's worker while this thread forms the plant and
+    # metered layer
     y = [np.empty((len(g), n_steps + 1, models[g[0]].m)) for g in groups]
     jobs = [(g, _noise_std(np.diag(models[g[0]].r)), b) for g, b in zip(groups, y)]
-    failed: list[BaseException] = []
 
     def draw() -> None:
         # bench/tracing.py's span stack is not thread-safe: call nothing it
         # wraps here (``sample_noise`` among them); each row is drawn as
         # ``sample_noise`` would draw it, from the agent's own stream
-        try:
-            for group, std, block in jobs if config.noise.inject else ():
-                for i, row in zip(group, block):
-                    _stream(config.seeds, _TAG_MEASUREMENT, i).standard_normal(out=row)
-                    row *= std
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
+        for group, std, block in jobs if config.noise.inject else ():
+            for i, row in zip(group, block):
+                _stream(config.seeds, _TAG_MEASUREMENT, i).standard_normal(out=row)
+                row *= std
 
-    drawer = threading.Thread(target=draw)
-    drawer.start()
-    try:
+    # imported here: it loads logging, which ``import dcmg`` never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the block waits for the draws, even if the plant fails: never
+    # leave them running, nor use a half-filled y
+    with ThreadPoolExecutor(1) as pool:
+        drawn = pool.submit(draw)
         x, *drives = _plant(plan, times)
         inputs, x_local = _metered(plan, x, *drives)
         del drives  # kept through the observers, u, d and w would raise the peak RSS
-    finally:
-        # never leave the draws running, nor use a half-filled y
-        drawer.join()
-    if failed:
-        raise failed[0]
+    drawn.result()
     # C = I: each agent measures its metered states, plus noise
     for y_block, loc in zip(y, x_local):
         if config.noise.inject:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -100,6 +101,24 @@ def run_cli(*args, **kwargs):
 
 def test_bundled_scenario_matches_preset():
     assert cli.load_config(SCENARIO) == threebus_attack_scenario()
+
+
+def test_loading_a_scenario_imports_no_scipy_executor_or_logging():
+    # the benchmark's setup_s times ``import dcmg`` plus ``load_config`` in
+    # a fresh process: scipy and concurrent.futures (which loads logging)
+    # are imported only where a run needs them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import dcmg.cli\n"
+        f"dcmg.cli.load_config({str(SCENARIO)!r})\n"
+        "print(*sorted({'scipy', 'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 @pytest.mark.parametrize("config", [threebus_attack_scenario(), gnarly_scenario()])
@@ -1022,6 +1041,7 @@ def test_run_threebus_script(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: initial_state = 'steady' needs a unique DC")
+    assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert not lossless_out.exists()
 
@@ -1108,3 +1128,23 @@ def test_count_lines_script(tmp_path):
         ["2", "C"],
         ["8", "total", str(source)],
     ]
+
+
+def test_count_lines_script_exits_1_on_a_closed_pipe():
+    # as ``count_lines.py src/dcmg | head`` once ``head`` has left
+    root = Path(__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "count_lines.py"), str(root / "src")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
