@@ -82,4 +82,7 @@ if __name__ == "__main__":
         # stdout at devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except OSError as exc:  # a path that is missing or cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
     sys.exit(code)

@@ -139,6 +139,9 @@ MUTANTS = [
         "return 2 if isinstance(exc, (ParseError, ValidationError)) else 1",
         "return 2 if isinstance(exc, ParseError) else 1",
     ),
+    ("label from the attacker's side", "src/dcmg/cli.py", "victim == agent", "source == agent"),
+    ("window mean not divided by sigma", "src/dcmg/cli.py", "1)) / sigmas", "1))"),
+    ("bus-key form unchecked", "src/dcmg/cli.py", "if str(bus) != key:", "if bus is None:"),
 ]
 
 _IGNORED = shutil.ignore_patterns(

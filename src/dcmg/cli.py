@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csvrows import write_rows
-from .detect import DetectionEvent
+from .detect import SIGMA_FLOOR, DetectionEvent
 from .errors import DcmgError, ParseError, ValidationError
 from .sim import (
     ScenarioConfig,
@@ -107,10 +107,13 @@ def _decode(tp, obj, where: str):
     if origin is dict:
         out = {}
         for key, value in obj.items():
+            # only the form str(bus) writes: "01" or "1_0" would alias a key
             try:
                 bus = int(key)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{where}: key {key!r} is not a bus id") from None
+            except ValueError:
+                bus = None
+            if str(bus) != key:
+                raise ValidationError(f"{where}: key {key!r} is not a bus id")
             out[bus] = _decode(args[1], value, f"{where}[{key}]")
         return out
     fields = dataclasses.fields(tp)
@@ -154,6 +157,15 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _encode(config)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads`` hook: fail on a repeated name rather than keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        raise ValueError(f"repeated key {max(names, key=names.count)!r}")
+    return obj
+
+
 # loading decodes and checks the fields (validate_config) but builds no
 # model, so it never imports scipy; sim.prepare builds the models, for
 # ``--validate-only`` and at the start of every run
@@ -167,10 +179,11 @@ def load_config(
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integer literals past the
-        # int-string digit limit; RecursionError too deep a nesting
+        # ValueError covers JSONDecodeError, a repeated key and integer
+        # literals past the int-string digit limit; RecursionError too deep
+        # a nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     config = scenario_from_dict(obj)
     if seed is not None:
@@ -210,19 +223,28 @@ class RunReport:
     wall_seconds: float
     events: list[DetectionEvent]
     residual_rms: dict[int, dict[str, float]]
+    # per agent, one (t_lo, t_hi, attacks, {channel: |mean(r)| / sigma}) per
+    # window, with the attacks on that agent active at t_lo
+    residual_windows: dict[int, list[tuple[float, float, str, dict[str, float]]]]
 
 
 def build_report(
     config: ScenarioConfig, trace: SimulationTrace, wall_seconds: float
 ) -> RunReport:
     k_warm = step_index(config.warmup, config.ts, "warmup")
-    rms: dict[int, dict[str, float]] = {}
+    rms, table = {}, {}
     for agent, res in trace.residuals.items():
         # one contiguous row per channel, which the reductions run through
         # several times faster than a strided column
-        channels = np.ascontiguousarray(res[k_warm:].T)
+        channels = np.ascontiguousarray(res.T)
         labels = trace.models[agent].labels
-        rms[agent] = {lab: _rms(ch) for lab, ch in zip(labels, channels)}
+        rms[agent] = dict(zip(labels, _scaled_mean(channels[:, k_warm:], 2).tolist()))
+        sigmas = np.maximum(trace.sigmas[agent], SIGMA_FLOOR)  # as the detector's
+        table[agent] = []
+        for k_lo, k_hi, attacks in _windows(config, agent):
+            means = np.abs(_scaled_mean(channels[:, k_lo:k_hi], 1)) / sigmas
+            row = (trace.times[k_lo], trace.times[k_hi], attacks)
+            table[agent].append((*row, dict(zip(labels, means.tolist()))))
     return RunReport(
         digest=config_digest(config),
         n_steps=len(trace.times) - 1,
@@ -231,17 +253,36 @@ def build_report(
         wall_seconds=wall_seconds,
         events=list(trace.alarms),
         residual_rms=rms,
+        residual_windows=table,
     )
 
 
-def _rms(values: np.ndarray) -> float:
-    """Root mean square, scaled by the largest |value| so that finite
-    values give a finite result; all zeros give 0."""
-    peak = max(values.max(), -values.min())
-    if peak == 0.0:
-        return 0.0
-    scaled = values / peak
-    return float(peak * np.sqrt(np.mean(scaled * scaled)))
+def _windows(config: ScenarioConfig, agent: int):
+    """(k_lo, k_hi, the attacks on ``agent`` active at k_lo) for the second
+    half of each span between consecutive events on the step grid: 0, each
+    load and source segment start, each attack start and end, the horizon."""
+    starts = [*config.load_profiles.values(), *config.source_schedule.values()]
+    times = [seg.t_start for segments in starts for seg in segments]
+    times += [t for atk in config.attacks for t in (atk.start, atk.end)]
+    edges = sorted({step_index(t, config.ts) for t in [0.0, config.horizon, *times]})
+    for k_a, k_b in zip(edges, edges[1:]):
+        k_lo = (k_a + k_b) // 2
+        active = [
+            f"bias {atk.bias:g} V on V{atk.source}->{atk.victim}"
+            for atk in config.attacks
+            if atk.victim == agent
+            if step_index(atk.start, config.ts) <= k_lo < step_index(atk.end, config.ts)
+        ]
+        yield k_lo, k_b, " + ".join(active) or "no attack"
+
+
+def _scaled_mean(rows: np.ndarray, power: int) -> np.ndarray:
+    """Each row's mean of value ** power, to the power 1 / power, scaled by
+    max(|value|, 1) so that finite values give a finite result."""
+    peak = np.maximum(np.maximum(rows.max(axis=1), -rows.min(axis=1)), 1.0)
+    scaled = rows / peak[:, None]
+    scaled **= power
+    return peak * np.mean(scaled, axis=1) ** (1 / power)
 
 
 def write_artifacts(
@@ -276,6 +317,12 @@ def format_report(report: RunReport) -> str:
             f"{lab}={val:.3f}" for lab, val in report.residual_rms[agent].items()
         )
         lines.append(f"  agent {agent}: {parts}")
+    lines.append("residual |mean| / sigma, second half of each span between events:")
+    for agent in sorted(report.residual_windows):
+        lines.append(f"  agent {agent} ({', '.join(report.residual_rms[agent])}):")
+        for t_lo, t_hi, attacks, means in report.residual_windows[agent]:
+            cells = "  ".join(f"{v:7.2f}" for v in means.values())
+            lines.append(f"    [{t_lo:7.4g}, {t_hi:7.4g}) s  {attacks:<42s} {cells}")
     return "\n".join(lines) + "\n"
 
 

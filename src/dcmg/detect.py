@@ -109,16 +109,13 @@ def monitor(
     """
     config.validate()
     residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim == 1:
-        residuals = residuals[:, None]
     times = np.asarray(times, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     channels = [(model, c) for model in models for c in range(len(model.labels))]
     m = len(channels)
-    if residuals.shape[1] != m:
+    if residuals.ndim != 2 or residuals.shape[1] != m:
         raise UnknownComponent(
-            f"residual stream has {residuals.shape[1]} components, "
-            f"models have {m} labels"
+            f"residuals of shape {residuals.shape} do not hold the {m} model components"
         )
     if sigmas.shape != (m,):
         raise UnknownComponent(f"sigmas must have shape ({m},), got {sigmas.shape}")

@@ -186,6 +186,25 @@ def test_criterion_4_attack_scenario(attack_run, announce):
     )
 
 
+def test_bundled_residual_table(attack_run):
+    # agent 1's |mean(r)| / sigma over the second half of each span between
+    # the scenario's events; [7, 8) s and [9, 10) s lie either side of the
+    # load step, and their equal rows are the load decoupling
+    config, trace, wall = attack_run
+    both = "bias 150 V on V3->1 + bias 100 V on V2->1"
+    expected = [
+        (2.0, 4.0, "no attack", [0.00, 0.00, 0.00, 0.00]),
+        (5.0, 6.0, "bias 150 V on V3->1", [6.24, 0.08, 0.63, 9.20]),
+        (7.0, 8.0, both, [10.42, 0.11, 6.76, 9.64]),
+        (9.0, 10.0, both, [10.44, 0.10, 6.78, 9.64]),
+    ]
+    rows = cli.build_report(config, trace, wall).residual_windows[1]
+    assert [row[:3] for row in rows] == [row[:3] for row in expected]
+    for (*_, means), (*_, printed) in zip(rows, expected):
+        assert list(means) == ["V1", "Ig1", "I1_2", "I1_3"]
+        np.testing.assert_allclose(list(means.values()), printed, atol=0.01)
+
+
 def test_criterion_5_covariance_health(monkeypatch, announce):
     # each group's recursion stops once Pi settles; there Pi must be the
     # fixed point of its own gains, Pi = F Pi F^T + K R K^T + T Q T^T with

@@ -33,6 +33,7 @@ from dcmg.sim import (
     Seeds,
     SourceStep,
     run_scenario,
+    step_index,
 )
 from oracles import savetxt_csv, trace_csv
 
@@ -321,6 +322,31 @@ def test_retired_sigma_source_key_exits_2(tmp_path):
     code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
     assert code == 2
     assert err == "error: scenario.detector: unknown keys ['sigma_source']\n"
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0", "\u0661"])
+def test_bus_key_in_another_form_exits_2(tmp_path, key):
+    # int() reads each key as bus 1 (or 10), so "01" would silently
+    # replace bus 1's load profile
+    obj = json.loads(SCENARIO.read_text())
+    obj["load_profiles"][key] = obj["load_profiles"]["1"][:1]
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err == f"error: scenario.load_profiles: key {key!r} is not a bus id\n"
+
+
+def test_repeated_key_exits_2_naming_it(tmp_path):
+    # json.loads alone keeps the last of two equal names
+    text = cli.write_config(mini_scenario())
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace('"kappa": ', '"kappa": 50.0, "kappa": ', 1))
+    with pytest.raises(ParseError, match="repeated key 'kappa'"):
+        cli.load_config(path)
+    code, _, err = run_cli(path, tmp_path / "out", validate_only=True)
+    assert code == 2
+    assert err == f"error: {path} is not valid JSON: repeated key 'kappa'\n"
 
 
 def test_off_grid_attack_exits_2_naming_the_field(tmp_path):
@@ -763,6 +789,59 @@ def test_run_writes_all_artifacts(mini_run):
     assert (out_dir / "report.txt").read_text() == report
 
 
+@pytest.mark.parametrize(
+    "make, spans, attacks",
+    [
+        (
+            mini_scenario,
+            [(0.01, 0.02), (0.035, 0.05)],
+            {1: ["no attack", "bias 150 V on V3->1"]},
+        ),
+        # on the 1-2-3 path, bus 1 has one line: agent 1 has three
+        # channels, and the one attack falsifies what agent 2 receives
+        (
+            gnarly_scenario,
+            [(0.05, 0.1), (0.125, 0.15), (0.175, 0.2)],
+            {2: ["no attack"] + ["bias -40 V on V1->2"] * 2},
+        ),
+    ],
+)
+def test_report_tables_residual_means_between_events(make, spans, attacks):
+    config = make()
+    trace = sim.run_scenario(config)
+    report = cli.build_report(config, trace, 0.0)
+    text = cli.format_report(report)
+    assert list(report.residual_windows) == list(trace.models)
+    for agent, rows in report.residual_windows.items():
+        labels = trace.models[agent].labels
+        assert f"  agent {agent} ({', '.join(labels)}):\n" in text
+        np.testing.assert_allclose([row[:2] for row in rows], spans, rtol=1e-12)
+        assert [row[2] for row in rows] == attacks.get(agent, ["no attack"] * len(spans))
+        for t_lo, t_hi, name, means in rows:
+            assert list(means) == labels
+            k_lo, k_hi = step_index(t_lo, config.ts), step_index(t_hi, config.ts)
+            res = trace.residuals[agent][k_lo:k_hi]
+            expected = np.abs(res.mean(axis=0)) / trace.sigmas[agent]
+            np.testing.assert_allclose(list(means.values()), expected, rtol=1e-9)
+            assert f"[{t_lo:7.4g}, {t_hi:7.4g}) s  {name} " in text
+    assert len(trace.models[1].labels) == (4 if make is mini_scenario else 3)
+
+
+def test_window_means_of_huge_residuals_are_finite():
+    config = mini_scenario()
+    trace = sim.run_scenario(config)
+    report = cli.build_report(config, trace, 0.0)
+    for res in trace.residuals.values():
+        res *= 1e305  # a plain mean of these overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = cli.build_report(config, trace, 0.0)
+    for agent, rows in huge.residual_windows.items():
+        for (*_, big), (*_, small) in zip(rows, report.residual_windows[agent]):
+            scaled = np.array(list(small.values())) * 1e305
+            np.testing.assert_allclose(list(big.values()), scaled, rtol=1e-12)
+
+
 def test_trace_csv_layout(mini_run):
     _, out_dir, _ = mini_run
     lines = (out_dir / "trace.csv").read_text().splitlines()
@@ -983,84 +1062,6 @@ def test_main_requires_subcommand():
 # scripts
 
 
-def test_run_threebus_script(tmp_path):
-    path = tmp_path / "mini.json"
-    cli.write_config(mini_scenario(), path)
-    out_dir = tmp_path / "artifacts"
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_threebus.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), str(path), "--out", str(out_dir)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for name in ("trace.csv", "events.csv", "report.txt"):
-        assert (out_dir / name).exists()
-    assert f"digest   {cli.config_digest(mini_scenario())}" in proc.stdout
-    assert "sigmas (V1, Ig1, I1_2, I1_3):" in proc.stdout
-    assert re.search(r"^  \[.*\) s  bias 150 V on V3->1 ", proc.stdout, re.M)
-
-    # on a 1-2-3 path, bus 1 has one line and agent 1 three channels
-    path_network = tmp_path / "gnarly.json"
-    cli.write_config(gnarly_scenario(), path_network)
-    proc = subprocess.run(
-        [sys.executable, str(script), str(path_network), "--out", str(out_dir)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "sigmas (V1, Ig1, I1_2):" in proc.stdout
-    assert re.search(r"^  \[.*\) s  no attack ", proc.stdout, re.M)
-    # its only attack falsifies what agent 2 receives, not agent 1's rows
-    assert not re.search(r"^  \[.*\) s  .*V1->2", proc.stdout, re.M)
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"network": 3}')
-    for args in ([str(bad)], [str(path), "--seed", "-1"]):
-        proc = subprocess.run(
-            [sys.executable, str(script), *args, "--out", str(out_dir)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
-
-    # fields valid, but no steady start: the run exits 2 as ``dcmg run``
-    # does, before it writes anything
-    lossless, lossless_out = tmp_path / "lossless.json", tmp_path / "lossless_out"
-    cli.write_config(_lossless(), lossless)
-    proc = subprocess.run(
-        [sys.executable, str(script), str(lossless), "--out", str(lossless_out)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: initial_state = 'steady' needs a unique DC")
-    assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    assert not lossless_out.exists()
-
-    # valid, then the plant state overflows at run time
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps(_overflowing("steady")))
-    proc = subprocess.run(
-        [sys.executable, str(script), str(huge), "--out", str(tmp_path / "huge_out")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == (
-        "error: plant state is not finite from step 0 (t = 0 s); "
-        "a network parameter or input is too large\n"
-    )
-
-
 def test_bias_sweep_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "bias_sweep.py"
 
@@ -1128,6 +1129,17 @@ def test_count_lines_script(tmp_path):
         ["2", "C"],
         ["8", "total", str(source)],
     ]
+
+    # a path that does not exist: one error line, no traceback
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "nosuchfile")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "nosuchfile" in proc.stderr
 
 
 def test_count_lines_script_exits_1_on_a_closed_pipe():

@@ -193,6 +193,8 @@ def test_monitor_rejects_wrong_widths(agent_models):
         monitor(np.zeros((10, 3)), times_for(10), np.ones(3), [model], cfg)
     with pytest.raises(UnknownComponent, match="components"):
         monitor(np.empty((0, 3)), np.empty(0), np.ones(3), [model], cfg)
+    with pytest.raises(UnknownComponent, match="components"):
+        monitor(np.zeros(10), times_for(10), np.ones(4), [model], cfg)
     with pytest.raises(UnknownComponent, match="sigmas"):
         monitor(np.zeros((10, 4)), times_for(10), np.ones(5), [model], cfg)
     with pytest.raises(UnknownComponent, match="times"):

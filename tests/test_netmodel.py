@@ -201,6 +201,8 @@ def test_validate_rejects_bad_topologies():
         ).validate()
     with pytest.raises(InvalidTopology, match="bus 1: r_internal must be >= 0"):
         NetworkSpec(buses=[BusParams(-0.05, 3e-3, 1e-5)]).validate()
+    with pytest.raises(InvalidTopology, match="bus 1: droop_gain must be >= 0"):
+        NetworkSpec(buses=[BusParams(0.05, 3e-3, 1e-5, droop_gain=-1.0)]).validate()
     with pytest.raises(InvalidTopology, match="line 0: r_line must be finite"):
         NetworkSpec(
             buses=[good_bus, good_bus],
