@@ -110,10 +110,10 @@ def _decode(tp, obj, where: str):
             # only the form str(bus) writes: "01" or "1_0" would alias a key
             try:
                 bus = int(key)
-            except ValueError:
-                bus = None
-            if str(bus) != key:
-                raise ValidationError(f"{where}: key {key!r} is not a bus id")
+                if str(bus) != key:
+                    raise ValueError(key)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{where}: key {key!r} is not a bus id") from None
             out[bus] = _decode(args[1], value, f"{where}[{key}]")
         return out
     fields = dataclasses.fields(tp)
@@ -159,10 +159,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 def _unique_keys(pairs: list) -> dict:
     """``json.loads`` hook: fail on a repeated name rather than keep its last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        names = [name for name, _ in pairs]
-        raise ValueError(f"repeated key {max(names, key=names.count)!r}")
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"repeated key {name!r}")
+        obj[name] = value
     return obj
 
 

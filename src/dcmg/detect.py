@@ -114,9 +114,7 @@ def monitor(
     channels = [(model, c) for model in models for c in range(len(model.labels))]
     m = len(channels)
     if residuals.ndim != 2 or residuals.shape[1] != m:
-        raise UnknownComponent(
-            f"residuals of shape {residuals.shape} do not hold the {m} model components"
-        )
+        raise UnknownComponent(f"residuals {residuals.shape} do not fit {m} components")
     if sigmas.shape != (m,):
         raise UnknownComponent(f"sigmas must have shape ({m},), got {sigmas.shape}")
     if times.shape != (residuals.shape[0],):

@@ -324,7 +324,7 @@ def test_retired_sigma_source_key_exits_2(tmp_path):
     assert err == "error: scenario.detector: unknown keys ['sigma_source']\n"
 
 
-@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0", "\u0661"])
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0", "\u0661", "None"])
 def test_bus_key_in_another_form_exits_2(tmp_path, key):
     # int() reads each key as bus 1 (or 10), so "01" would silently
     # replace bus 1's load profile
