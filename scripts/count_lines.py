@@ -53,10 +53,16 @@ def top_level_spans(path: Path) -> list[tuple[str, int, int]]:
 
 
 def report(path: Path) -> int:
-    """Print the counts of one file and return its total."""
-    lines = counted_lines(path)
+    """Print the counts of one file and return its total.  A file that is
+    not Python source raises ``ValueError`` naming it, before anything of
+    it is printed."""
+    try:
+        spans = top_level_spans(path)
+        lines = counted_lines(path)
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"{path} is not Python source: {exc}") from None
     print(f"{len(lines):6d}  {path}")
-    for name, first, last in top_level_spans(path):
+    for name, first, last in spans:
         print(f"{sum(first <= k <= last for k in lines):6d}    {name}")
     return len(lines)
 
@@ -82,7 +88,7 @@ if __name__ == "__main__":
         # stdout at devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    except OSError as exc:  # a path that is missing or cannot be read
+    except (OSError, ValueError) as exc:  # a path missing, unreadable or not Python
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     sys.exit(code)

@@ -50,13 +50,13 @@ MUTANTS = [
     (
         "metered layer reads the wrong load",
         "src/dcmg/sim.py",
-        "loc[:, 1:] += d[:, buses]",
-        "loc[:, 1:] += d[:, buses - 1]",
+        "drive += d[span, buses]",
+        "drive += d[span, buses - 1]",
     ),
     (
         "metered layer without load",
         "src/dcmg/sim.py",
-        "        loc[:, 1:] += d[:, buses].T[..., None] @ model.e.T\n",
+        "            drive += d[span, buses].T[..., None] @ model.e.T\n",
         "",
     ),
     (
@@ -72,6 +72,18 @@ MUTANTS = [
         "k = starts[long[0]] + config.persistence",
     ),
     ("SIGMA_FLOOR = 1", "src/dcmg/detect.py", "SIGMA_FLOOR = 1e-12", "SIGMA_FLOOR = 1.0"),
+    (
+        "EWMA state not carried across blocks",
+        "src/dcmg/detect.py",
+        "start = s[-1].copy()",
+        "start = 0.0",
+    ),
+    (
+        "run above kappa not carried across blocks",
+        "src/dcmg/detect.py",
+        "starts[0] = -run[col]",
+        "starts[0] = 0",
+    ),
     (
         "one measurement stream per group",
         "src/dcmg/sim.py",
@@ -93,7 +105,7 @@ MUTANTS = [
     (
         "state_sign dropped from the process noise",
         "src/dcmg/sim.py",
-        "        noise *= sign\n",
+        "            noise *= sign\n",
         "",
     ),
     (

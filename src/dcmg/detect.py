@@ -3,9 +3,11 @@ persistence latching, attributing alarms on line-current channels to the
 neighbour whose reported voltage feeds that line.
 
 ``monitor`` takes the residual channels of any number of agents side by
-side and scans them in one pass: one EWMA call over the whole block, then,
-one channel at a time, the runs above kappa of each channel that ever
-reaches it.
+side and scans them online, one block of rows at a time: one EWMA call per
+block, then, one channel at a time, the runs above kappa of each channel
+that reaches it in the block.  Each channel's EWMA state and its run above
+kappa carry from block to block, so the blocks join with no seam and the
+scan holds one block of the statistic, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveInput, UnknownComponent
-from .lti import propagate_into
+from .lti import BLOCK_BYTES, propagate_into
 from .uio import AgentModel
 
 SIGMA_FLOOR = 1e-12
@@ -70,15 +72,20 @@ def _neighbor_for(model: AgentModel, component: int) -> int | None:
 
 
 def ewma_statistic(
-    residuals: np.ndarray, sigmas: np.ndarray, alpha: float
+    residuals: np.ndarray,
+    sigmas: np.ndarray,
+    alpha: float,
+    start: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """EWMA of |r|/sigma along axis 0, starting from zero state.
+    """EWMA of |r|/sigma along axis 0, from the state ``start`` (zeros by
+    default; row N - 1 of the previous block to continue a stream).
 
     Each column is its own scalar system s_{k+1} = (1 - alpha) s_k +
     alpha v_k; one in-place scan of the (N, m) block runs them all.
     """
     residuals = np.asarray(residuals, dtype=float)
-    s = np.zeros((residuals.shape[0] + 1, residuals.shape[1]))
+    s = np.empty((residuals.shape[0] + 1, residuals.shape[1]))
+    s[0] = start
     drive = s[1:]
     np.abs(residuals, out=drive)
     drive /= np.maximum(sigmas, SIGMA_FLOOR)
@@ -106,6 +113,12 @@ def monitor(
     map one-to-one onto couplings, so line-current alarms directly accuse
     the corresponding neighbour.  Events come sorted by (time, agent,
     component).
+
+    The rows are scanned in blocks of BLOCK_BYTES of statistic, at least
+    one row each.  Each block's EWMA starts from the previous block's last
+    row, and each channel's run above kappa that reaches a block's end
+    carries into the next block, so the events are those of one scan over
+    all N rows.
     """
     config.validate()
     residuals = np.asarray(residuals, dtype=float)
@@ -121,29 +134,44 @@ def monitor(
         raise UnknownComponent(
             f"times must have shape ({residuals.shape[0]},), got {times.shape}"
         )
-    if residuals.shape[0] == 0:
-        return []
 
-    s = ewma_statistic(residuals, sigmas, config.ewma_alpha)
-    above = s >= config.kappa
+    rows = max(1, BLOCK_BYTES // (max(m, 1) * residuals.itemsize))
+    start = 0.0
+    # each channel's samples above kappa up to the block, and whether it
+    # has latched
+    run = np.zeros(m, dtype=np.intp)
+    latched = np.zeros(m, dtype=bool)
     events: list[DetectionEvent] = []
-    for col in np.flatnonzero(above.any(axis=0)):
-        # the column's runs above kappa start and end where it changes
-        edges = np.flatnonzero(np.diff(above[:, col], prepend=False, append=False))
-        starts, ends = edges[::2], edges[1::2]
-        long = np.flatnonzero(ends - starts >= config.persistence)
-        if long.size == 0:
-            continue
-        k = starts[long[0]] + config.persistence - 1
-        model, c = channels[col]
-        events.append(
-            DetectionEvent(
-                agent=model.agent_id,
-                accused_neighbor=_neighbor_for(model, c),
-                component=model.labels[c],
-                time=float(times[k]),
-                statistic=float(s[k, col]),
-            )
+    for k0 in range(0, residuals.shape[0], rows):
+        s = ewma_statistic(
+            residuals[k0 : k0 + rows], sigmas, config.ewma_alpha, start
         )
+        start = s[-1].copy()
+        above = s >= config.kappa
+        reached = above.any(axis=0)
+        run[~reached] = 0
+        for col in np.flatnonzero(reached & ~latched):
+            # the column's runs above kappa start and end where it changes
+            edges = np.flatnonzero(np.diff(above[:, col], prepend=False, append=False))
+            starts, ends = edges[::2], edges[1::2]
+            if starts[0] == 0:
+                starts[0] = -run[col]  # the run carried from the blocks before
+            run[col] = ends[-1] - starts[-1] if ends[-1] == len(s) else 0
+            long = np.flatnonzero(ends - starts >= config.persistence)
+            if long.size == 0:
+                continue
+            k = starts[long[0]] + config.persistence - 1
+            latched[col] = True
+            model, c = channels[col]
+            events.append(
+                DetectionEvent(
+                    agent=model.agent_id,
+                    accused_neighbor=_neighbor_for(model, c),
+                    component=model.labels[c],
+                    time=float(times[k0 + k]),
+                    statistic=float(s[k, col]),
+                )
+            )
+        del s, above  # freed before the next block is allocated
     events.sort(key=lambda ev: (ev.time, ev.agent, ev.component))
     return events

@@ -31,6 +31,11 @@ RANK_RTOL = 1e-12
 # rows per slice of each propagation pass
 SCAN_BLOCK = 256
 
+# bytes of one block of rows that a stage outside the propagation forms or
+# scans at a time: the plant's load term, the metered layers' drives and
+# the detector's statistic
+BLOCK_BYTES = 1 << 20
+
 # the widest shared state matrix that propagate_into scans by row-pair products
 PAIR_MAX_N = 8
 

@@ -47,11 +47,16 @@ residual by sqrt(diag(Pi + M R M^T)) of its group's final Pi, with
 M = I - H, never by a spread estimated from the data.  Every state
 series is formed in place, x_0 and the drive rows written straight into
 the state array, and scanned by ``lti.propagate_into``; a group's
-metered layer and measurements read its one model.  A plant state that
-overflows raises ``NonFinite``.  An executor's worker draws each agent's
-measurement noise into its row of ``y`` while the calling thread forms the
-plant and the metered layers; ``y`` is then each metered layer plus
-``sample_noise`` from the agent's own stream, bit for bit.
+metered layer and measurements read its one model.  A temporary holds
+at most one agent's series or one block of about ``lti.BLOCK_BYTES`` of
+rows, so a run's working set is its trace plus such a block: the plant's
+load term, each group's input rows and metered-layer drive, and
+``monitor``'s scan of the residuals all go a block of rows at a time.
+A plant state that overflows raises ``NonFinite``.  An executor's worker
+draws each agent's measurement noise into its row of ``y`` while the
+calling thread forms the plant and the metered layers; ``y`` is then
+each metered layer plus ``sample_noise`` from the agent's own stream,
+bit for bit.
 
 All event times (segment starts, attack windows, warm-up, horizon) must
 fall on multiples of the step size so scenarios are reproducible bit for
@@ -74,7 +79,7 @@ from .errors import (
     NonPositiveInput,
     ValidationError,
 )
-from .lti import RANK_RTOL, DiscreteModel, discretize_zoh, propagate_into
+from .lti import BLOCK_BYTES, RANK_RTOL, DiscreteModel, discretize_zoh, propagate_into
 from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
 from .netmodel import GlobalModel, NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
@@ -208,11 +213,13 @@ def sample_noise(stream, covariance_diag, size: int | None = None) -> np.ndarray
     """Zero-mean Gaussian draws with the given diagonal covariance.
 
     Returns one vector, or a (size, len(diag)) block drawn in a single
-    generator call when ``size`` is given.
+    generator call when ``size`` is given, scaled in place.
     """
     std = _noise_std(covariance_diag)
     shape = std.shape if size is None else (size, std.shape[0])
-    return stream.standard_normal(shape) * std
+    draws = stream.standard_normal(shape)
+    draws *= std
+    return draws
 
 
 def step_index(t: float, ts: float, what: str = "event time") -> int:
@@ -540,7 +547,9 @@ def _by_agent(groups: list[list[int]], blocks) -> dict[int, np.ndarray]:
 
 def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """The monolithic physical layer's states from x_0, and its drives:
-    source setpoints u, loads d and process draws w, one row per step."""
+    source setpoints u, loads d and process draws w, one row per step.
+    The drive rows are formed in place in the state array; the load term
+    takes one product per block of about BLOCK_BYTES of rows."""
     config, gm, plant, n_steps = plan.config, plan.gm, plan.plant, plan.n_steps
     spec, n = config.network, config.network.n_bus
     u = np.column_stack(
@@ -578,9 +587,12 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
     x = np.empty((n_steps + 1, gm.n_state))
     x[0] = plan.x0
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(u, plant.b.T, out=x[1:])
-        x[1:] += d @ plant.e.T
-        x[1:] += w
+        drive = x[1:]
+        np.matmul(u, plant.b.T, out=drive)
+        rows = max(1, BLOCK_BYTES // x[0].nbytes)
+        for k in range(0, n_steps, rows):
+            drive[k : k + rows] += d[k : k + rows] @ plant.e.T
+        drive += w
         propagate_into(plant.a, x)
     if not np.isfinite(x).all():
         k = int(np.argmin(np.isfinite(x).all(axis=1)))
@@ -593,7 +605,9 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each group's input block and metered layer, from the plant's states
-    and drives."""
+    and drives.  A group's input rows and drive rows are formed one block
+    of about BLOCK_BYTES at a time, so no temporary grows with the horizon
+    and each pass over the plant's series serves every agent of the group."""
     config, models, n_steps = plan.config, plan.models, plan.n_steps
     # one input block per group: row k holds each agent's source setpoint
     # and the neighbour voltages it receives at step k; the last row is
@@ -604,9 +618,8 @@ def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]
         buses = np.array(group) - 1
         nbrs = [[cp.neighbor - 1 for cp in models[i].couplings] for i in group]
         block = np.empty((len(group), n_steps + 1, 1 + len(nbrs[0])))
-        block[:, :n_steps, 0] = u[:, buses].T
         block[:, n_steps, 0] = u[-1, buses]
-        block[..., 1:] = x[:, nbrs].swapaxes(0, 1)
+        block[:, n_steps, 1:] = x[n_steps, nbrs]
         # metered layer: each agent's sampled-data reality, advanced by the
         # group's model under the true (held) boundary voltages, sharing the
         # physical noise draws in the agent's own orientation
@@ -614,13 +627,17 @@ def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]
         sign = np.stack([models[i].state_sign for i in group])
         loc = np.empty((len(group), n_steps + 1, model.n))
         loc[:, 0] = x[0, index] * sign
-        np.matmul(block[:, :n_steps], model.b_x.T, out=loc[:, 1:])
-        loc[:, 1:] += d[:, buses].T[..., None] @ model.e.T
-        # one temporary for the signed draws: y is resident by now
-        noise = w[:, index]
-        noise *= sign
-        loc[:, 1:] += noise.swapaxes(0, 1)
-        del noise
+        rows = max(1, BLOCK_BYTES // loc[:, 0].nbytes)
+        for k in range(0, n_steps, rows):
+            span = slice(k, min(k + rows, n_steps))
+            inp, drive = block[:, span], loc[:, k + 1 : span.stop + 1]
+            inp[..., 0] = u[span, buses].T
+            inp[..., 1:] = x[span][:, nbrs].swapaxes(0, 1)
+            np.matmul(inp, model.b_x.T, out=drive)
+            drive += d[span, buses].T[..., None] @ model.e.T
+            noise = w[span][:, index]
+            noise *= sign
+            drive += noise.swapaxes(0, 1)
         propagate_into(model.a, loc)
         x_local.append(loc)
         # the metered layer has read the true voltages; the observers and

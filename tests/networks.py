@@ -26,3 +26,15 @@ def path_network():
             LineParams(tail=k, head=k + 1, r_line=0.1, l_line=5e-4) for k in (1, 2, 3)
         ],
     )
+
+
+def ring_network(n):
+    """``n`` preset buses in a ring: every agent has two neighbours, and
+    all agents form one group."""
+    return NetworkSpec(
+        buses=[example_bus() for _ in range(n)],
+        lines=[
+            LineParams(tail=k, head=k % n + 1, r_line=0.1, l_line=5e-4)
+            for k in range(1, n + 1)
+        ],
+    )

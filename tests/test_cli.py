@@ -1142,6 +1142,23 @@ def test_count_lines_script(tmp_path):
     assert "nosuchfile" in proc.stderr
 
 
+def test_count_lines_script_exits_2_on_a_file_that_is_not_python(tmp_path):
+    # a README, say: one error line naming it, and no count of it on stdout
+    script = Path(__file__).resolve().parents[1] / "scripts" / "count_lines.py"
+    text = tmp_path / "notes.md"
+    text.write_text("# Notes\n\nIt's `code`, not Python.\n")
+    proc = subprocess.run(
+        [sys.executable, str(script), str(text)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "notes.md" in proc.stderr
+
+
 def test_count_lines_script_exits_1_on_a_closed_pipe():
     # as ``count_lines.py src/dcmg | head`` once ``head`` has left
     root = Path(__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dcmg.detect as detect
 from dcmg.detect import DetectorConfig, ewma_statistic, monitor
 from dcmg.errors import NonPositiveInput, UnknownComponent
 from oracles import ewma_loop, latch_loop
@@ -172,6 +173,84 @@ def test_latches_match_per_step_loop(agent_models, persistence):
     assert all(ev.statistic == 10.0 for ev in events)
     if persistence > n:
         assert events == []
+
+
+def test_ewma_continues_from_a_start_row():
+    values = RNG.random((40, 3)) * 8.0
+    whole = ewma_statistic(values, np.ones(3), alpha=0.1)
+    head = ewma_statistic(values[:25], np.ones(3), alpha=0.1)
+    tail = ewma_statistic(values[25:], np.ones(3), alpha=0.1, start=head[-1])
+    assert np.max(np.abs(np.vstack([head, tail]) - whole)) < 1e-12
+
+
+# the rows of each block of monitor's scan, set small so that a stream
+# spans many blocks
+BLOCK_ROWS = 64
+
+
+def set_block_rows(monkeypatch, width):
+    monkeypatch.setattr(detect, "BLOCK_BYTES", BLOCK_ROWS * width * 8)
+
+
+def test_blocked_ewma_matches_one_recursion(agent_models, monkeypatch):
+    # |r| / sigma rises across 20 blocks at a rate of its own per channel,
+    # so each channel latches in a late block; the statistic there must be
+    # that of one recursion over the whole stream
+    models = [agent_models[i] for i in (1, 2, 3)]
+    width = 12
+    set_block_rows(monkeypatch, width)
+    n = 20 * BLOCK_ROWS + 5
+    rng = np.random.default_rng(41)
+    sigmas = rng.uniform(0.5, 2.0, width)
+    level = np.linspace(0.0, 1.0, n)[:, None] * rng.uniform(6.0, 14.0, width)
+    r = (level + rng.standard_normal((n, width))) * sigmas
+    cfg = DetectorConfig(kappa=5.0, ewma_alpha=0.02, persistence=10)
+    s = ewma_loop(np.abs(r) / sigmas, cfg.ewma_alpha)
+    latches = latch_loop(s >= cfg.kappa, cfg.persistence)
+    assert all(k is not None and k > 5 * BLOCK_ROWS for k in latches)
+    t = times_for(n)
+    events = monitor(r, t, sigmas, models, cfg)
+    channels = [(m, label) for m in models for label in m.labels]
+    by_channel = {(ev.agent, ev.component): ev for ev in events}
+    assert len(by_channel) == width
+    for col, ((m, label), k) in enumerate(zip(channels, latches)):
+        ev = by_channel[m.agent_id, label]
+        assert ev.time == t[k]
+        assert abs(ev.statistic - s[k, col]) < 1e-12
+
+
+@pytest.mark.parametrize("persistence", [2, 10, 63, 64, 65, 150])
+def test_runs_straddling_blocks_latch_as_one(agent_models, monkeypatch, persistence):
+    # each channel's first long run straddles a block boundary at an
+    # offset of its own (a run of 150 spans three blocks); before it come
+    # a run one sample short across an earlier boundary, and three runs of
+    # ``persistence`` samples broken at a boundary: by its block's first
+    # sample, by the previous block's last one, and by one whole block
+    models = [agent_models[i] for i in (1, 2, 3)]
+    channels = [(m, label) for m in models for label in m.labels]
+    width = len(channels)
+    set_block_rows(monkeypatch, width)
+    n, gap = 30 * BLOCK_ROWS, 6 * BLOCK_ROWS
+    above = np.zeros((n, width), dtype=bool)
+    for col in range(width):
+        offset = 1 + (7 * col) % (persistence - 1)
+        edge = BLOCK_ROWS * (1 + col % 3)
+        above[edge - offset : edge - offset + persistence - 1, col] = True
+        for before, after in ((0, 1), (1, 0), (0, BLOCK_ROWS)):
+            edge += gap
+            above[edge - before - persistence + offset : edge - before, col] = True
+            above[edge + after : edge + after + offset, col] = True
+        edge += gap
+        above[edge - offset : edge - offset + persistence, col] = True
+    cfg = DetectorConfig(kappa=5.0, ewma_alpha=1.0, persistence=persistence)
+    t = times_for(n)
+    events = monitor(np.where(above, 10.0, 0.0), t, np.ones(width), models, cfg)
+    latches = latch_loop(above, persistence)
+    assert all(k is not None and k >= 22 * BLOCK_ROWS for k in latches)
+    expected = sorted(
+        (t[k], m.agent_id, label) for (m, label), k in zip(channels, latches)
+    )
+    assert [(ev.time, ev.agent, ev.component) for ev in events] == expected
 
 
 def test_empty_stream(agent_models):

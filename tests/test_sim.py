@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dcmg.sim import (
     validate_config,
 )
 from dcmg.uio import discretize_agent, gain_step
-from networks import heterogeneous_network, path_network
+from networks import heterogeneous_network, path_network, ring_network
 from oracles import observer_loop, propagate_loop, zoh_series
 
 
@@ -751,6 +752,46 @@ def test_trace_shapes():
         assert trace.sigmas[i].shape == (4,)
         assert trace.alarm_flags[i].shape == (n1,)
         assert trace.alarm_flags[i].dtype == np.int8
+
+
+def trace_nbytes(trace) -> int:
+    """Bytes of the trace's arrays, each base array counted once (the
+    per-agent series are views of their group's blocks)."""
+    arrays = [trace.times, trace.x_true]
+    for name in ("y", "comms", "x_local", "x_hat", "residuals", "sigmas", "alarm_flags"):
+        arrays += getattr(trace, name).values()
+    bases = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def test_working_set_beyond_the_trace_does_not_grow_with_the_horizon():
+    # the detector holds one block of its statistic and the drives are
+    # formed a block of rows at a time, so the peak above the returned
+    # trace stays put while the trace triples; a whole-horizon statistic
+    # or horizon-length drive temporaries would add about 2.6 MiB
+    network = ring_network(10)
+
+    def excess(horizon: float) -> int:
+        cfg = small_scenario(
+            network=network,
+            horizon=horizon,
+            load_profiles={i: [LoadSegment(0.0, level=1000.0)] for i in range(1, 11)},
+        )
+        tracemalloc.start()
+        try:
+            trace = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - trace_nbytes(trace)
+
+    excess(0.05)  # the first run imports scipy; leave that out
+    short, long = excess(0.4), excess(1.2)
+    assert long - short < 2**18, (short, long)
 
 
 # ---------------------------------------------------------------------------
