@@ -111,13 +111,13 @@ MUTANTS = [
     (
         "trace pieces written in reverse order",
         "src/dcmg/_csvrows.py",
-        "range(0, text.size, PIECE_BYTES)",
-        "range(0, text.size, PIECE_BYTES)[::-1]",
+        "range(0, text.size, piece_bytes)",
+        "range(0, text.size, piece_bytes)[::-1]",
     ),
     (
-        "last written.result() dropped",
+        "writer's result() dropped",
         "src/dcmg/_csvrows.py",
-        "        if written is not None:\n            written.result()\n",
+        "    writing.result()\n",
         "",
     ),
     (
@@ -130,7 +130,31 @@ MUTANTS = [
         "NULs kept in the last piece",
         "src/dcmg/_csvrows.py",
         "fh.write(np.compress(piece != 0, piece))",
-        "fh.write(np.compress(piece != 0, piece) if k + PIECE_BYTES < text.size else piece)",
+        "fh.write(np.compress(piece != 0, piece) if k + piece_bytes < text.size else piece)",
+    ),
+    (
+        "formatter reuses the previous block's words unmasked",
+        "src/dcmg/_csvrows.py",
+        "words = slots[b % 2, : block.size]",
+        "words = slots[0, : block.size]",
+    ),
+    (
+        "report drops the last partial block",
+        "src/dcmg/cli.py",
+        "for start in range(0, n_rows, rows):",
+        "for start in range(0, n_rows - n_rows % rows, rows):",
+    ),
+    (
+        "report does not carry a channel's scale across blocks",
+        "src/dcmg/cli.py",
+        "                t *= (s / peak) ** p\n",
+        "",
+    ),
+    (
+        "observer applies x^_0 = y_0 to every block",
+        "src/dcmg/sim.py",
+        "            if a == 0:\n                x_hat[0] = yj[0]\n",
+        "            x_hat[0] = yj[0]\n",
     ),
     (
         "--validate-only skips prepare",
@@ -152,7 +176,12 @@ MUTANTS = [
         "return 2 if isinstance(exc, ParseError) else 1",
     ),
     ("label from the attacker's side", "src/dcmg/cli.py", "victim == agent", "source == agent"),
-    ("window mean not divided by sigma", "src/dcmg/cli.py", "1)) / sigmas", "1))"),
+    (
+        "window mean not divided by sigma",
+        "src/dcmg/cli.py",
+        "np.abs(means[1:]) / sigmas",
+        "np.abs(means[1:])",
+    ),
     ("bus-key form unchecked", "src/dcmg/cli.py", "if str(bus) != key:", "if False:"),
 ]
 

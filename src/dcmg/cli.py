@@ -25,6 +25,7 @@ import numpy as np
 from ._csvrows import write_rows
 from .detect import SIGMA_FLOOR, DetectionEvent
 from .errors import DcmgError, ParseError, ValidationError
+from .lti import BLOCK_BYTES
 from .sim import (
     ScenarioConfig,
     SimulationTrace,
@@ -232,20 +233,24 @@ class RunReport:
 def build_report(
     config: ScenarioConfig, trace: SimulationTrace, wall_seconds: float
 ) -> RunReport:
+    """The run's report: its events, each residual channel's RMS after the
+    warm-up, and each channel's |mean| / sigma over the second half of
+    each span between events (``_windows``).  Every mean is reduced a
+    block of rows at a time by ``_scaled_means``, so the report holds one
+    block of about BLOCK_BYTES beyond the trace."""
     k_warm = step_index(config.warmup, config.ts, "warmup")
     rms, table = {}, {}
     for agent, res in trace.residuals.items():
-        # one contiguous row per channel, which the reductions run through
-        # several times faster than a strided column
-        channels = np.ascontiguousarray(res.T)
         labels = trace.models[agent].labels
-        rms[agent] = dict(zip(labels, _scaled_mean(channels[:, k_warm:], 2).tolist()))
+        windows = list(_windows(config, agent))
+        spans = [(k_warm, len(res))] + [(k_lo, k_hi) for k_lo, k_hi, _ in windows]
+        means = _scaled_means(res, spans, [2] + [1] * len(windows))
+        rms[agent] = dict(zip(labels, means[0].tolist()))
         sigmas = np.maximum(trace.sigmas[agent], SIGMA_FLOOR)  # as the detector's
-        table[agent] = []
-        for k_lo, k_hi, attacks in _windows(config, agent):
-            means = np.abs(_scaled_mean(channels[:, k_lo:k_hi], 1)) / sigmas
-            row = (trace.times[k_lo], trace.times[k_hi], attacks)
-            table[agent].append((*row, dict(zip(labels, means.tolist()))))
+        table[agent] = [
+            (trace.times[k_lo], trace.times[k_hi], attacks, dict(zip(labels, row.tolist())))
+            for (k_lo, k_hi, attacks), row in zip(windows, np.abs(means[1:]) / sigmas)
+        ]
     return RunReport(
         digest=config_digest(config),
         n_steps=len(trace.times) - 1,
@@ -277,13 +282,42 @@ def _windows(config: ScenarioConfig, agent: int):
         yield k_lo, k_b, " + ".join(active) or "no attack"
 
 
-def _scaled_mean(rows: np.ndarray, power: int) -> np.ndarray:
-    """Each row's mean of value ** power, to the power 1 / power, scaled by
-    max(|value|, 1) so that finite values give a finite result."""
-    peak = np.maximum(np.maximum(rows.max(axis=1), -rows.min(axis=1)), 1.0)
-    scaled = rows / peak[:, None]
-    scaled **= power
-    return peak * np.mean(scaled, axis=1) ** (1 / power)
+def _scaled_means(res: np.ndarray, spans, powers) -> np.ndarray:
+    """For each span [k_lo, k_hi) of the rows of ``res`` and its power p,
+    each column's mean of value ** p, to the power 1 / p: one row per span.
+
+    The rows are reduced a block at a time, each block transposed into
+    one contiguous row per channel, which the reductions run through
+    several times faster than a strided column; the transposed block and
+    its scaled copy together take about BLOCK_BYTES.  Each sum is kept
+    scaled by its channel's max(|value|, 1) so far, rescaled when a block
+    raises it, so that finite values give a finite result."""
+    n_rows, width = res.shape
+    scale = np.ones((len(spans), width))
+    total = np.zeros((len(spans), width))
+    rows = max(1, BLOCK_BYTES // (2 * res[0].nbytes))
+    block, scaled = np.empty((2, width, min(rows, n_rows)))
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        channels = block[:, : stop - start]
+        channels[...] = res[start:stop].T
+        for (k_lo, k_hi), p, s, t in zip(spans, powers, scale, total):
+            lo, hi = max(k_lo, start) - start, min(k_hi, stop) - start
+            if lo < hi:
+                part = channels[:, lo:hi]
+                peak = np.maximum(np.maximum(part.max(axis=1), -part.min(axis=1)), s)
+                t *= (s / peak) ** p
+                s[...] = peak
+                out = scaled[:, : hi - lo]
+                np.divide(part, peak[:, None], out=out)
+                out **= p
+                t += out.sum(axis=1)
+    return np.array(
+        [
+            s * (t / (k_hi - k_lo)) ** (1 / p)
+            for (k_lo, k_hi), p, s, t in zip(spans, powers, scale, total)
+        ]
+    )
 
 
 def write_artifacts(
@@ -332,14 +366,15 @@ def export_trace_csv(trace: SimulationTrace, path) -> None:
     0/1 latched-alarm flag per agent, floats at 17 significant digits.
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``,
-    produced a block of rows at a time by :mod:`dcmg._csvrows`: this thread
-    forms each block's fixed-width slots, and a second thread deletes their
-    padding and writes the text while this one forms the next.  The exact
-    two-product of |x| and a power of ten gives the 17-digit mantissa,
-    rounded half to even as ``%.17g`` rounds, and zeros are written
-    directly.  Non-finite values, values outside 1e-5 <= |x| < 1e16 and
-    values ``%.17g`` prints in exponent notation go to Python's
-    ``"%.17g" %``, once per distinct value.
+    produced a block of rows at a time by :mod:`dcmg._csvrows`, each block
+    sized from ``lti.BLOCK_BYTES`` and formed in buffers allocated once:
+    this thread forms each block's fixed-width slots, and a second thread
+    deletes their padding and writes the text while this one forms the
+    next.  The exact two-product of |x| and a power of ten gives the
+    17-digit mantissa, rounded half to even as ``%.17g`` rounds, and
+    zeros are written directly.  Non-finite values, values outside
+    1e-5 <= |x| < 1e16 and values ``%.17g`` prints in exponent notation go
+    to Python's ``"%.17g" %``, once per distinct value.
     """
     agents = sorted(trace.models)
     header = ["time"] + list(trace.state_labels)

@@ -32,8 +32,9 @@ RANK_RTOL = 1e-12
 SCAN_BLOCK = 256
 
 # bytes of one block of rows that a stage outside the propagation forms or
-# scans at a time: the plant's load term, the metered layers' drives and
-# the detector's statistic
+# scans at a time: the plant's load term, the metered layers' drives, the
+# observers' products with y, the detector's statistic, the report's
+# reductions and the trace export's formatting
 BLOCK_BYTES = 1 << 20
 
 # the widest shared state matrix that propagate_into scans by row-pair products

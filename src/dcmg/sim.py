@@ -48,10 +48,11 @@ M = I - H, never by a spread estimated from the data.  Every state
 series is formed in place, x_0 and the drive rows written straight into
 the state array, and scanned by ``lti.propagate_into``; a group's
 metered layer and measurements read its one model.  A temporary holds
-at most one agent's series or one block of about ``lti.BLOCK_BYTES`` of
-rows, so a run's working set is its trace plus such a block: the plant's
-load term, each group's input rows and metered-layer drive, and
-``monitor``'s scan of the residuals all go a block of rows at a time.
+at most one block of about ``lti.BLOCK_BYTES`` of rows, so a run's
+working set is its trace plus such a block: the plant's load term, each
+group's input rows and metered-layer drive, each agent's products with
+its measurements in the observer, and ``monitor``'s scan of the
+residuals all go a block of rows at a time.
 A plant state that overflows raises ``NonFinite``.  An executor's worker
 draws each agent's measurement noise into its row of ``y`` while the
 calling thread forms the plant and the metered layers; ``y`` is then
@@ -501,10 +502,15 @@ def _run_observer(
     epsilon); without it, tol = 0, so Pi' must equal Pi bit for bit.  The
     rest of the horizon then runs with that step's gains, for every row,
     as one ``lti.propagate_into``, within 1e-13 max|x^| of stepping on with
-    them.  A recursion that never settles steps to the horizon.
+    them.  A recursion that never settles steps to the horizon.  The
+    products with y (the settled tail's drive, then x^ = z + H y) go a
+    block of about BLOCK_BYTES of one agent's rows at a time.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     h, t = model.structural
+    # the products with y go a block of rows per agent: one for the whole
+    # group would need a temporary as large as its rows of z
+    rows = max(1, BLOCK_BYTES // y[0, 0].nbytes)
     z = np.empty((g, n_steps + 1, model.n))
     z[:, 0] = y[:, 0] - (h @ y[:, 0, :, None])[..., 0]
     np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
@@ -516,21 +522,22 @@ def _run_observer(
         settled = abs(pi_next - pi).max() <= rtol * abs(pi).max()
         pi = pi_next
         if settled:
-            # one product per agent: one for the whole group would need a
-            # temporary as large as its rows of z
             for zj, yj in zip(z[:, k + 1 :], y[:, k:-1]):
-                zj += yj @ k_sum.T
+                for a in range(0, n_steps - k, rows):
+                    zj[a : a + rows] += yj[a : a + rows] @ k_sum.T
             propagate_into(f, z[:, k:])
             break
         z[:, k + 1] = (
             (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
         ) + (k_sum @ y[:, k, :, None])[..., 0]
     for j in range(g):
-        x_hat = z[j]
-        x_hat += y[j] @ h.T
-        x_hat[0] = y[j, 0]
-        # C = I (``AgentModel.gain_terms`` checks it), so r = y - x^
-        np.subtract(y[j], x_hat, out=residuals[j])
+        for a in range(0, n_steps + 1, rows):
+            x_hat, yj = z[j, a : a + rows], y[j, a : a + rows]
+            x_hat += yj @ h.T
+            if a == 0:
+                x_hat[0] = yj[0]
+            # C = I (``AgentModel.gain_terms`` checks it), so r = y - x^
+            np.subtract(yj, x_hat, out=residuals[j][a : a + rows])
     return z, pi
 
 

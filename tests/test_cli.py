@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -18,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dcmg._csvrows as csvrows
 import dcmg.cli as cli
+import dcmg.detect as detect
 import dcmg.sim as sim
-from dcmg._csvrows import CHUNK_ROWS, write_rows
+from dcmg._csvrows import block_rows, write_rows
 from dcmg.detect import DetectionEvent, DetectorConfig
 from dcmg.errors import DcmgError, NonFinite, ParseError, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
@@ -36,6 +39,7 @@ from dcmg.sim import (
     step_index,
 )
 from oracles import savetxt_csv, trace_csv
+from test_sim import trace_nbytes
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 README = SCENARIO.parents[1] / "README.md"
@@ -842,6 +846,80 @@ def test_window_means_of_huge_residuals_are_finite():
             np.testing.assert_allclose(list(big.values()), scaled, rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e305])
+def test_report_means_in_blocks_match_whole_horizon_means(monkeypatch, scale):
+    # blocks of 7 rows: the windows straddle block edges, and a channel's
+    # scale rises from one block to a later one
+    config = mini_scenario()
+    trace = sim.run_scenario(config)
+    plain = {agent: res.copy() for agent, res in trace.residuals.items()}
+    for res in trace.residuals.values():
+        res *= scale  # at 1e305 a plain mean overflows
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 7 * 2 * 4 * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cli.build_report(config, trace, 0.0)
+    k_warm = step_index(config.warmup, config.ts)
+    straddled = False
+    for agent, res in plain.items():
+        rms = np.sqrt(np.mean(res[k_warm:] ** 2, axis=0)) * scale
+        np.testing.assert_allclose(
+            list(report.residual_rms[agent].values()), rms, rtol=1e-12
+        )
+        for t_lo, t_hi, _, means in report.residual_windows[agent]:
+            k_lo, k_hi = step_index(t_lo, config.ts), step_index(t_hi, config.ts)
+            straddled |= k_lo // 7 != (k_hi - 1) // 7
+            expected = np.abs(res[k_lo:k_hi].mean(axis=0)) / trace.sigmas[agent] * scale
+            np.testing.assert_allclose(list(means.values()), expected, rtol=1e-12)
+    assert straddled
+
+
+def test_run_working_set_beyond_the_trace_does_not_grow_with_the_horizon(
+    tmp_path, monkeypatch
+):
+    # blocks of 64 KiB in every stage: the run, the report and the export
+    # each hold one block beyond the trace while the trace triples; the
+    # report's whole-horizon channel copies would add about 0.5 MiB
+    for module in (sim, detect, cli, csvrows):
+        monkeypatch.setattr(module, "BLOCK_BYTES", 1 << 16)
+    stages = ("run_scenario", "build_report", "export_trace_csv")
+    peaks, traces = {}, []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            if name == "run_scenario":
+                traces.append(result)
+            return result
+
+        return wrapper
+
+    for name in stages:
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+
+    def excess(horizon: float) -> dict:
+        config = mini_scenario()
+        config.horizon = horizon
+        config.attacks = []
+        path = tmp_path / f"h{horizon}.json"
+        cli.write_config(config, path)
+        traces.clear()
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(path, tmp_path / "out", quiet=True)
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        return {name: peaks[name] - trace_nbytes(traces[0]) for name in stages}
+
+    excess(0.05)  # the first run imports scipy; leave that out
+    short, long = excess(0.4), excess(1.2)
+    for name in stages:
+        assert long[name] - short[name] < 2**18, (name, short, long)
+
+
 def test_trace_csv_layout(mini_run):
     _, out_dir, _ = mini_run
     lines = (out_dir / "trace.csv").read_text().splitlines()
@@ -899,16 +977,24 @@ def _rows(n, width=3):
 @example(np.array([_TIES, [-t for t in _TIES]]))
 @example(_rows(0))
 @example(_rows(1))
-@example(_rows(CHUNK_ROWS))
-@example(_rows(CHUNK_ROWS + 1))
+@example(_rows(block_rows(3) - 1))
+@example(_rows(block_rows(3)))
+@example(_rows(block_rows(3) + 1))
 # four blocks, written in order by the writer thread; and one block of
-# 1000 x 7 fields of 40 slot bytes, 4.3 pieces of PIECE_BYTES
-@example(_rows(3 * CHUNK_ROWS + 5))
+# 1000 x 7 fields of 40 slot bytes, 1.07 pieces of a quarter of BLOCK_BYTES
+@example(_rows(3 * block_rows(3) + 5))
 @example(_rows(1000, width=7))
 def test_block_writer_matches_savetxt(data):
+    expected = savetxt_csv(data)
     buf = io.BytesIO()
     write_rows(buf, [data])
-    assert buf.getvalue() == savetxt_csv(data)
+    assert buf.getvalue() == expected
+    # blocks of a few rows, each slot text compacted in several pieces
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvrows, "BLOCK_BYTES", 1 << 11)
+        buf = io.BytesIO()
+        write_rows(buf, [data])
+    assert buf.getvalue() == expected
 
 
 class _FailingFile:
@@ -926,7 +1012,9 @@ class _FailingFile:
         return len(data)
 
 
-@pytest.mark.parametrize("n", [CHUNK_ROWS + 5, 3 * CHUNK_ROWS + 5], ids=["last", "second"])
+@pytest.mark.parametrize(
+    "n", [block_rows(3) + 5, 3 * block_rows(3) + 5], ids=["last", "second"]
+)
 def test_block_writer_raises_the_writers_error_and_writes_nothing_after(n):
     # a block of 3 columns is two pieces, so the third write is the first
     # of the second block: the last block, or one with two more after it.

@@ -332,6 +332,32 @@ def test_batched_observer_matches_per_agent_loop(
     assert (None in settled_at) != freeze_gains
 
 
+@pytest.mark.parametrize("freeze_gains", [True, False])
+def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, freeze_gains):
+    # blocks of 7 rows per agent: the settled tail's drive, the estimates
+    # and the residuals go a block at a time, bit for bit as in one piece;
+    # only the first block starts from x^_0 = y_0
+    monkeypatch.setattr(sim, "BLOCK_BYTES", 7 * 4 * 8)
+    rng = np.random.default_rng(12)
+    model, n_steps = agent_models[1], 305
+    y = 12_000.0 + 40.0 * rng.standard_normal((2, n_steps + 1, 4))
+    u_x = 12_000.0 + 40.0 * rng.standard_normal((2, n_steps, 3))
+    res = np.empty_like(y)
+    x_hat, pi_end = _run_observer(model, y, u_x, list(res), freeze_gains)
+    for j in range(2):
+        xh_ref, res_ref, pi_ref, k_ref = observer_loop(
+            model, y[j], u_x[j], settle_rtol(model, freeze_gains), propagate_into
+        )
+        # the rows and the settled tail each end in a partial block, of
+        # more than one row (numpy forms a one-row product by another BLAS
+        # routine, which may round differently)
+        assert k_ref is not None
+        assert (n_steps + 1) % 7 > 1 and (n_steps - k_ref) % 7 > 1
+        assert np.array_equal(x_hat[j], xh_ref)
+        assert np.array_equal(res[j], res_ref)
+        assert np.array_equal(pi_end, pi_ref)
+
+
 @pytest.mark.parametrize(
     "scales, freeze_gains, n_steps, groups, settles",
     [
