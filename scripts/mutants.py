@@ -111,8 +111,8 @@ MUTANTS = [
     (
         "trace pieces written in reverse order",
         "src/dcmg/_csvrows.py",
-        "range(0, text.size, piece_bytes)",
-        "range(0, text.size, piece_bytes)[::-1]",
+        "range(0, code.size, piece)",
+        "range(0, code.size, piece)[::-1]",
     ),
     (
         "writer's result() dropped",
@@ -127,16 +127,35 @@ MUTANTS = [
         "",
     ),
     (
-        "NULs kept in the last piece",
+        "last piece written unmasked",
         "src/dcmg/_csvrows.py",
-        "fh.write(np.compress(piece != 0, piece))",
-        "fh.write(np.compress(piece != 0, piece) if k + piece_bytes < text.size else piece)",
+        "fh.write(np.compress(kept.view(np.bool_).reshape(-1), text))",
+        "fh.write(np.compress(kept.view(np.bool_).reshape(-1), text)"
+        " if k + piece < code.size else text)",
     ),
     (
-        "formatter reuses the previous block's words unmasked",
+        "formatter reuses one slot buffer for every block",
         "src/dcmg/_csvrows.py",
-        "words = slots[b % 2, : block.size]",
-        "words = slots[0, : block.size]",
+        "words, code = slots[b % 2, : block.size]",
+        "words, code = slots[0, : block.size]",
+    ),
+    (
+        "slow field's length code off by one",
+        "src/dcmg/_csvrows.py",
+        "code[slow] = _TEXT_MASK + np.array",
+        "code[slow] = _TEXT_MASK + 1 + np.array",
+    ),
+    (
+        "writer gathers masks from the other buffer's codes",
+        "src/dcmg/_csvrows.py",
+        "todo.put((words, code))",
+        "todo.put((words, codes[1 - b % 2, : block.size]))",
+    ),
+    (
+        "comma/newline offset on the wrong word row",
+        "src/dcmg/_csvrows.py",
+        "groups[-1] += _COMMA",
+        "groups[-2] += _COMMA",
     ),
     (
         "report drops the last partial block",
@@ -153,7 +172,7 @@ MUTANTS = [
     (
         "observer applies x^_0 = y_0 to every block",
         "src/dcmg/sim.py",
-        "            if a == 0:\n                x_hat[0] = yj[0]\n",
+        "            if span.start == 0:\n                x_hat[0] = yj[0]\n",
         "            x_hat[0] = yj[0]\n",
     ),
     (

@@ -8,23 +8,23 @@ and Dekker's error-free product (Veltkamp splitting) gives
 ``|x| * 10^(16 - e) = hi + lo`` exactly.  hi >= 1e16 > 2^53 is an even
 integer, so ``hi + rint(lo)`` is the product rounded half to even: the
 correctly rounded 17-digit mantissa.  Values that print in fixed notation
-(-4 <= e <= 16) are laid out from it, zeros are written directly, and every
+(-4 <= e <= 15) are laid out from it, zeros are written directly, and every
 other value (non-finite, tiny, huge) is formatted by Python's ``%``, once
-per distinct bit pattern.
+per distinct bit pattern.  Each field's slot holds more bytes than its
+text, and its code names the keep-mask of the bytes the text is made of.
 
 ``write_rows`` holds one block of rows of about ``lti.BLOCK_BYTES`` at a
 time, whatever the table's length: ``block_rows`` sizes a block so that
-its values, the scratch rows its intermediates are formed in and its
-slots together take about BLOCK_BYTES, and every array of a block is
-preallocated once and filled in place (``out=``).  The digits are split
-off with ``floor_divide`` and a multiply-subtract, and the words and then
-the masks are taken one word position at a time, so no intermediate is
-wider than one field.  Each block is split between two threads: the
-calling thread forms its masked slots, and the worker of a one-thread
-executor deletes their NULs and writes the text, a quarter of
-BLOCK_BYTES of slots at a time, while the calling thread forms the next
-block in the other slot buffer.  ``np.compress`` releases the GIL, where
-``bytes.translate`` would not.
+its values, the scratch its intermediates are formed in, its slots and
+their codes together take about BLOCK_BYTES, and every array of a block
+is preallocated once and filled in place (``out=``).  The digits are
+split off with ``floor_divide`` and a multiply-subtract into contiguous
+rows, and every word is taken at once through their transpose.  Each
+block is split between two threads: the calling thread forms its slots
+and codes, and the worker of a one-thread executor gathers the keep-masks
+by code and writes the bytes they keep, a quarter of BLOCK_BYTES of slots
+at a time, while the calling thread forms the next block in the other
+buffers.  ``np.take`` and ``np.compress`` release the GIL.
 """
 
 from __future__ import annotations
@@ -42,15 +42,16 @@ from .lti import BLOCK_BYTES
 #   bytes 6-38   d0 . d1 . ... . d16 the 17 mantissa digits, a point after
 #                                    each, so the point after d_e is in place
 #   byte 39      ',' or '\n'
-# A keep-mask sets every byte the field does not show to NUL, and the writer
-# deletes the NULs.
+# or, for a field formatted by Python, its text in bytes 0-31 and ',' or
+# '\n' in byte 39.  A field's code picks the keep-mask of the bytes it
+# shows, and the writer keeps only those.
 _WORDS = 5
 _FIRST, _COMMA, _NEWLINE = 30000, 10000, 20000
-_ZERO_MASK = 21 * 17 * 2  # then negative zero, then keep-all
-_KEEP_ALL = _ZERO_MASK + 2
+_ZERO_MASK = 20 * 17 * 2  # then negative zero, then a text of each length
+_TEXT_MASK = _ZERO_MASK + 2
 _SPLITTER = 134217729.0  # 2**27 + 1
 # float64 rows, one field wide, that _slots forms a block's intermediates in
-# beside the memory of its slots
+# beside the memory of its slots, and last the (F, 5) indices of its words
 _SCRATCH = 5
 
 
@@ -82,34 +83,33 @@ def _tables():
 
     # keep-masks by code ((e + 4) * 17 + last) * 2 + negative, where e is the
     # decimal exponent and d_last the last nonzero digit; then zero,
-    # negative zero, and a mask that keeps every byte
+    # negative zero, and one mask for each length of a text
     rows = []
-    for e in range(-4, 17):
+    for e in range(-4, 16):
         for last_digit in range(17):
             for negative in (0, 1):
                 keep = bytearray(40)
-                keep[0] = 0xFF * negative
+                keep[0] = negative
                 if e < 0:
-                    keep[1 : 2 - e] = b"\xff" * (1 - e)
+                    keep[1 : 2 - e] = b"\1" * (1 - e)
                 for d in range(max(e, last_digit) + 1):
-                    keep[6 + 2 * d] = 0xFF
+                    keep[6 + 2 * d] = 1
                 if 0 <= e < last_digit:
-                    keep[7 + 2 * e] = 0xFF
-                keep[39] = 0xFF
+                    keep[7 + 2 * e] = 1
+                keep[39] = 1
                 rows.append(bytes(keep))
-    rows += [b"\0\xff" + b"\0" * 37 + b"\xff", b"\xff" * 2 + b"\0" * 37 + b"\xff"]
-    rows.append(b"\xff" * 40)
-    # one contiguous row of masks per word position
-    masks = np.frombuffer(b"".join(rows), np.uint64).reshape(-1, _WORDS).T.copy()
+    rows += [b"\0\1" + b"\0" * 37 + b"\1", b"\1" * 2 + b"\0" * 37 + b"\1"]
+    rows += [b"\1" * n + b"\0" * (39 - n) + b"\1" for n in range(33)]
+    masks = np.frombuffer(b"".join(rows), np.uint64).reshape(-1, _WORDS)
 
     pow10 = 10.0 ** np.arange(23)
     return words, trailing_zeros, masks, (pow10, *_split(pow10))
 
 
 def _scaled(x, e, pow10, m, out):
-    """hi and lo, with hi + lo = x * 10^(16 - e), formed in rows of the
-    (5, len(x)) float64 ``out``, and round-half-even(hi + lo) in the int64
-    ``m``; x is overwritten."""
+    """hi and lo, with hi + lo = x * 10^(16 - e), formed in the five
+    float64 rows ``out``, and round-half-even(hi + lo) in the int64 ``m``;
+    x is overwritten."""
     hi, lo, p, x_hi, t = out
     np.subtract(16, e, out=m)  # the index into pow10, until m is formed
     np.take(pow10[0], m, out=p, mode="clip")
@@ -138,23 +138,29 @@ def _scaled(x, e, pow10, m, out):
     return hi, lo
 
 
-def _slots(v: np.ndarray, c: int, words: np.ndarray, scratch: np.ndarray) -> None:
-    """Form into ``words`` the masked ``(F, 5)`` uint64 slots of the F
-    float64 fields ``v``, ``c`` to a row: the CSV text of the rows with
-    NULs between its characters.  Every other intermediate of length F is
-    a row of the (_SCRATCH, >= F) float64 ``scratch`` or, until the words
-    are taken, of the memory of ``words``."""
-    words_table, trailing_zeros, masks, pow10 = _tables()
-    buf = scratch[:, : v.size]
+def _slots(
+    v: np.ndarray, c: int, words: np.ndarray, code: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Form into ``words`` the ``(F, 5)`` uint64 slots of the F float64
+    fields ``v``, ``c`` to a row, and into the int64 ``code`` the index of
+    each field's keep-mask: the slot bytes it keeps are the field's CSV
+    text.  Every other intermediate of length F is formed in the memory of
+    ``words`` or in the >= 5 F float64 ``scratch``, which last holds the
+    ``(F, 5)`` indices of the words.  Each word is taken once, and zeros
+    and the fields Python formats skip the search for the last digit."""
+    words_table, trailing_zeros, _, pow10 = _tables()
+    buf = scratch[: _WORDS * v.size].reshape(_WORDS, -1)
     spare = words.reshape(-1).view(np.float64).reshape(_WORDS, -1)
-    x, e, m = buf[0], buf[1].view(np.int64), buf[2].view(np.int64)
+    x, m, e = buf[0], spare[4].view(np.int64), code  # code is formed from e
     np.abs(v, out=x)
     fast = (x >= 1e-5) & (x < 1e16)
-    x[~fast] = 1.0  # keeps the arithmetic finite; these are formatted below
-    np.log10(x, out=spare[0])
-    np.floor(spare[0], out=spare[0])
-    e[...] = spare[0]
-    hi, lo = _scaled(x, e, pow10, m, spare)
+    # keeps the arithmetic finite; these are formatted below.  Its last
+    # group of four digits is not zero, so they skip the tail below
+    x[~fast] = 1.0000000000000002
+    np.log10(x, out=buf[1])
+    np.floor(buf[1], out=buf[1])
+    e[...] = buf[1]
+    hi, lo = _scaled(x, e, pow10, m, (*spare[:4], buf[1]))
     # log10 may be one off near a power of ten: redo where the product is
     # below 10^16 or rounds above 10^17
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -169,44 +175,38 @@ def _slots(v: np.ndarray, c: int, words: np.ndarray, scratch: np.ndarray) -> Non
         e[carry] += 1
     fast &= e >= -4
 
+    # the leading digit and the four groups of four digits, split off m
+    # from the left into contiguous rows over the memory of words
+    groups, t, last = spare.view(np.int64), buf[0].view(np.int64), buf[1].view(np.int64)
+    for pos, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(m, scale, out=groups[pos])
+        np.multiply(groups[pos], scale, out=t)
+        m -= t
+
     # d_last, the last nonzero digit, from the trailing zeros of the last
-    # group of four digits, or of the groups before it for the few fields
-    # where that group is zero
-    group, t, last = (row.view(np.int64) for row in (buf[0], buf[3], buf[4]))
-    np.floor_divide(m, 10**4, out=t)
-    np.multiply(t, 10**4, out=t)
-    np.subtract(m, t, out=group)
-    np.subtract(16, np.take(trailing_zeros, group, out=last, mode="clip"), out=last)
-    tail = np.flatnonzero(group == 0)
+    # group, or of the groups before it for the few fields where that group
+    # is zero
+    np.subtract(16, np.take(trailing_zeros, m, out=last, mode="clip"), out=last)
+    tail = np.flatnonzero(m == 0)
     if tail.size:
-        g = m[tail, None] // 10 ** np.array([12, 8, 4]) % 10**4
-        tz = trailing_zeros[g[:, 0]]
-        tz = np.where(g[:, 1] != 0, trailing_zeros[g[:, 1]], 4 + tz)
-        tz = np.where(g[:, 2] != 0, trailing_zeros[g[:, 2]], 4 + tz)
+        g = groups[1:4, tail]
+        tz = trailing_zeros[g[0]]
+        tz = np.where(g[1] != 0, trailing_zeros[g[1]], 4 + tz)
+        tz = np.where(g[2] != 0, trailing_zeros[g[2]], 4 + tz)
         last[tail] = 12 - tz
-    code = e  # ((e + 4) * 17 + last) * 2 + negative
-    code += 4
+    code += 4  # ((e + 4) * 17 + last) * 2 + negative
     code *= 17
     code += last
     code *= 2
     code += np.signbit(v)
 
-    # the words of the leading digit and of the four groups, split off m
-    # from the left
-    for pos, scale in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
-        if scale > 1:
-            np.floor_divide(m, scale, out=group)
-            np.multiply(group, scale, out=t)
-            m -= t
-        else:
-            group = m
-        if pos == 0:
-            group += _FIRST
-        elif pos == _WORDS - 1:
-            ends = group.reshape(-1, c)
-            ends[:, :-1] += _COMMA
-            ends[:, -1] += _NEWLINE
-        np.take(words_table, group, out=words[:, pos], mode="clip")
+    # every word taken at once, through the groups' (F, 5) transpose
+    groups[0] += _FIRST
+    groups[-1] += _COMMA
+    groups[-1, c - 1 :: c] += _NEWLINE - _COMMA
+    index = buf.reshape(-1).view(np.int64).reshape(-1, _WORDS)
+    np.copyto(index, groups.T)
+    np.take(words_table, index, out=words, mode="clip")
 
     zero = np.flatnonzero(v == 0)
     code[zero] = _ZERO_MASK + np.signbit(v[zero])
@@ -214,21 +214,17 @@ def _slots(v: np.ndarray, c: int, words: np.ndarray, scratch: np.ndarray) -> Non
     slow = np.flatnonzero(~fast)
     if slow.size:
         distinct, which = np.unique(v[slow].view(np.uint64), return_inverse=True)
-        text = b"".join(
-            ("%.17g" % f).encode().ljust(32, b"\0") for f in distinct.view(np.float64)
-        )
+        texts = [("%.17g" % f).encode() for f in distinct.view(np.float64)]
+        text = b"".join(s.ljust(32, b"\0") for s in texts)
         words[slow, :4] = np.frombuffer(text, np.uint64).reshape(-1, 4)[which]
-        words[slow, 4] &= np.uint64(0xFF << 56)
-        code[slow] = _KEEP_ALL
-    word = buf[4].view(np.uint64)
-    for pos in range(_WORDS):
-        words[:, pos] &= np.take(masks[pos], code, out=word, mode="clip")
+        code[slow] = _TEXT_MASK + np.array([len(s) for s in texts])[which]
 
 
 def block_rows(width: int) -> int:
     """Rows per block of a table ``width`` fields wide: a block's values,
-    its scratch rows and its slots together take about BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (width * 8 * (1 + _SCRATCH + _WORDS)))
+    its scratch rows, its slots and their codes together take about
+    BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (width * 8 * (1 + _SCRATCH + _WORDS + 1)))
 
 
 def write_rows(fh, columns) -> None:
@@ -237,11 +233,14 @@ def write_rows(fh, columns) -> None:
     at a time, without forming the whole matrix.
 
     Every block is formed in the same preallocated values and scratch,
-    and its slots in one of two buffers: one task on the executor's worker
-    writes the blocks in order, one block's slots while this thread forms
-    the next block's in the other buffer.  A buffer is formed again only
-    once its block is written.  ``result()`` re-raises the worker's error
-    here, and no later block is written."""
+    and its slots and codes in one of two buffers each: one task on the
+    executor's worker writes the blocks in order, one block's slots while
+    this thread forms the next block's in the other buffers.  The worker
+    takes a piece of a block's fields at a time: it gathers their
+    keep-masks by code into one preallocated buffer, and writes the slot
+    bytes those keep.  A buffer is formed again only once its block is
+    written.  ``result()`` re-raises the worker's error here, and no later
+    block is written."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n, width = len(columns[0]), sum(c.shape[1] for c in columns)
     if width == 0:
@@ -249,32 +248,37 @@ def write_rows(fh, columns) -> None:
         return
     rows = max(1, min(block_rows(width), n))
     values = np.empty((rows, width))
-    scratch = np.empty((_SCRATCH, rows * width))
+    scratch = np.empty(_SCRATCH * rows * width)
     slots = np.empty((2, rows * width, _WORDS), np.uint64)
-    # slot bytes compacted at a time: compress builds an int64 index of the
+    codes = np.empty((2, rows * width), np.int64)
+    # fields compacted at a time: compress builds an int64 index of the
     # bytes it keeps (at most 5/8 of them), so a quarter of BLOCK_BYTES of
     # slots keeps that index near one block
-    piece_bytes = BLOCK_BYTES // 4
+    piece = max(1, BLOCK_BYTES // 4 // (8 * _WORDS))
+    keep = np.empty((min(piece, rows * width), _WORDS), np.uint64)
+    masks = _tables()[2]
     # imported here, as ``import dcmg`` never needs them; concurrent.futures
     # loads logging
     import queue
     from concurrent.futures import ThreadPoolExecutor
 
-    # the worker takes each block's slots from ``todo`` (None ends it) and
-    # answers each with True on ``done``, or with False once it has failed.
-    # One task for all the blocks: a task per block costs the executor's
-    # bookkeeping, and the GIL it holds, on every block
+    # the worker takes each block's slots and codes from ``todo`` (None
+    # ends it) and answers each with True on ``done``, or with False once
+    # it has failed.  One task for all the blocks: a task per block costs
+    # the executor's bookkeeping, and the GIL it holds, on every block
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
     def write() -> None:
         # bench/tracing.py's span stack is not thread-safe: call nothing it
         # wraps here
         try:
-            while (words := todo.get()) is not None:
-                text = words.view(np.uint8).reshape(-1)
-                for k in range(0, text.size, piece_bytes):
-                    piece = text[k : k + piece_bytes]
-                    fh.write(np.compress(piece != 0, piece))
+            while (block := todo.get()) is not None:
+                words, code = block
+                for k in range(0, code.size, piece):
+                    kept = keep[: min(piece, code.size - k)]
+                    np.take(masks, code[k : k + piece], axis=0, out=kept, mode="clip")
+                    text = words[k : k + piece].view(np.uint8).reshape(-1)
+                    fh.write(np.compress(kept.view(np.bool_).reshape(-1), text))
                 done.put(True)
         except BaseException:
             done.put(False)  # wakes this thread if it waits for a buffer
@@ -290,9 +294,9 @@ def write_rows(fh, columns) -> None:
                     break
                 block = values[: min(rows, n - k)]
                 np.concatenate([c[k : k + rows] for c in columns], axis=1, out=block)
-                words = slots[b % 2, : block.size]
-                _slots(block.reshape(-1), width, words, scratch)
-                todo.put(words)
+                words, code = slots[b % 2, : block.size], codes[b % 2, : block.size]
+                _slots(block.reshape(-1), width, words, code, scratch)
+                todo.put((words, code))
         finally:
             todo.put(None)
     writing.result()

@@ -368,13 +368,14 @@ def export_trace_csv(trace: SimulationTrace, path) -> None:
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``,
     produced a block of rows at a time by :mod:`dcmg._csvrows`, each block
     sized from ``lti.BLOCK_BYTES`` and formed in buffers allocated once:
-    this thread forms each block's fixed-width slots, and a second thread
-    deletes their padding and writes the text while this one forms the
-    next.  The exact two-product of |x| and a power of ten gives the
-    17-digit mantissa, rounded half to even as ``%.17g`` rounds, and
-    zeros are written directly.  Non-finite values, values outside
-    1e-5 <= |x| < 1e16 and values ``%.17g`` prints in exponent notation go
-    to Python's ``"%.17g" %``, once per distinct value.
+    this thread forms each block's fixed-width slots and each field's
+    mask code, and a second thread gathers the masks by code and writes
+    the bytes they keep while this one forms the next.  The exact
+    two-product of |x| and a power of ten gives the 17-digit mantissa,
+    rounded half to even as ``%.17g`` rounds, and zeros are written
+    directly.  Non-finite values, values outside 1e-5 <= |x| < 1e16 and
+    values ``%.17g`` prints in exponent notation go to Python's
+    ``"%.17g" %``, once per distinct value.
     """
     agents = sorted(trace.models)
     header = ["time"] + list(trace.state_labels)

@@ -52,7 +52,8 @@ at most one block of about ``lti.BLOCK_BYTES`` of rows, so a run's
 working set is its trace plus such a block: the plant's load term, each
 group's input rows and metered-layer drive, each agent's products with
 its measurements in the observer, and ``monitor``'s scan of the
-residuals all go a block of rows at a time.
+residuals all go a block of rows at a time.  No product goes in a block
+of one row (``_row_blocks``), so each row comes out as in one block.
 A plant state that overflows raises ``NonFinite``.  An executor's worker
 draws each agent's measurement noise into its row of ``y`` while the
 calling thread forms the plant and the metered layers; ``y`` is then
@@ -474,6 +475,18 @@ def prepare(config: ScenarioConfig) -> Plan:
     return Plan(config, gm, plant, models, list(by_model.values()), n_steps, x0)
 
 
+def _row_blocks(n: int, row_nbytes: int):
+    """Slices of about BLOCK_BYTES of rows, ``row_nbytes`` each, over n
+    rows.  No block has one row unless n is 1: a one-row remainder joins
+    the block before it, as numpy forms a one-row product by its
+    matrix-vector path, which may round differently."""
+    rows, k = max(2, BLOCK_BYTES // row_nbytes), 0
+    while k < n:
+        stop = n if n - k <= rows + 1 else k + rows
+        yield slice(k, stop)
+        k = stop
+
+
 def _run_observer(
     model: AgentModel,
     y: np.ndarray,
@@ -510,7 +523,7 @@ def _run_observer(
     h, t = model.structural
     # the products with y go a block of rows per agent: one for the whole
     # group would need a temporary as large as its rows of z
-    rows = max(1, BLOCK_BYTES // y[0, 0].nbytes)
+    row_nbytes = y[0, 0].nbytes
     z = np.empty((g, n_steps + 1, model.n))
     z[:, 0] = y[:, 0] - (h @ y[:, 0, :, None])[..., 0]
     np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
@@ -523,21 +536,21 @@ def _run_observer(
         pi = pi_next
         if settled:
             for zj, yj in zip(z[:, k + 1 :], y[:, k:-1]):
-                for a in range(0, n_steps - k, rows):
-                    zj[a : a + rows] += yj[a : a + rows] @ k_sum.T
+                for span in _row_blocks(n_steps - k, row_nbytes):
+                    zj[span] += yj[span] @ k_sum.T
             propagate_into(f, z[:, k:])
             break
         z[:, k + 1] = (
             (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
         ) + (k_sum @ y[:, k, :, None])[..., 0]
     for j in range(g):
-        for a in range(0, n_steps + 1, rows):
-            x_hat, yj = z[j, a : a + rows], y[j, a : a + rows]
+        for span in _row_blocks(n_steps + 1, row_nbytes):
+            x_hat, yj = z[j, span], y[j, span]
             x_hat += yj @ h.T
-            if a == 0:
+            if span.start == 0:
                 x_hat[0] = yj[0]
             # C = I (``AgentModel.gain_terms`` checks it), so r = y - x^
-            np.subtract(yj, x_hat, out=residuals[j][a : a + rows])
+            np.subtract(yj, x_hat, out=residuals[j][span])
     return z, pi
 
 
@@ -596,9 +609,8 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         drive = x[1:]
         np.matmul(u, plant.b.T, out=drive)
-        rows = max(1, BLOCK_BYTES // x[0].nbytes)
-        for k in range(0, n_steps, rows):
-            drive[k : k + rows] += d[k : k + rows] @ plant.e.T
+        for span in _row_blocks(n_steps, x[0].nbytes):
+            drive[span] += d[span] @ plant.e.T
         drive += w
         propagate_into(plant.a, x)
     if not np.isfinite(x).all():
@@ -634,10 +646,8 @@ def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]
         sign = np.stack([models[i].state_sign for i in group])
         loc = np.empty((len(group), n_steps + 1, model.n))
         loc[:, 0] = x[0, index] * sign
-        rows = max(1, BLOCK_BYTES // loc[:, 0].nbytes)
-        for k in range(0, n_steps, rows):
-            span = slice(k, min(k + rows, n_steps))
-            inp, drive = block[:, span], loc[:, k + 1 : span.stop + 1]
+        for span in _row_blocks(n_steps, loc[:, 0].nbytes):
+            inp, drive = block[:, span], loc[:, span.start + 1 : span.stop + 1]
             inp[..., 0] = u[span, buses].T
             inp[..., 1:] = x[span][:, nbrs].swapaxes(0, 1)
             np.matmul(inp, model.b_x.T, out=drive)

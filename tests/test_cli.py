@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import os
 import re
@@ -995,6 +996,34 @@ def test_block_writer_matches_savetxt(data):
         buf = io.BytesIO()
         write_rows(buf, [data])
     assert buf.getvalue() == expected
+
+
+def test_block_writer_writes_every_code_as_printf():
+    # a value of each exponent e = -4..16 and each index 0..16 of the last
+    # nonzero of the 17 digits "%.17g" prints, of both signs (above 1e16
+    # they go to Python's "%"); both zeros; and a text of every length
+    # Python's "%" gives, from "nan" to 24 characters
+    fixed = {}
+    for e, last, lead, j in itertools.product(
+        range(-4, 17), range(17), "123456789", "123456789"
+    ):
+        v = float(f"{lead}.{'0' * (last - 1) + j if last else ''}e{e}")
+        digits, exp = ("%.16e" % v).split("e")
+        fixed.setdefault((int(exp), len(digits.replace(".", "").rstrip("0")) - 1), v)
+    codes = list(itertools.product(range(-4, 17), range(17)))
+    assert set(codes) <= set(fixed)
+    texts = [
+        sign * float(f"1.{'2' * (k - 1)}e{p}")
+        for sign, k, p in itertools.product((1, -1), range(1, 18), (17, -5, 100, -100))
+    ]
+    texts += [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308]
+    assert {len("%.17g" % v) for v in texts} == set(range(3, 25))
+    values = [sign * fixed[code] for code in codes for sign in (1, -1)]
+    values += [0.0, -0.0, *texts]
+    data = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+    buf = io.BytesIO()
+    write_rows(buf, [data])
+    assert buf.getvalue() == savetxt_csv(data)
 
 
 class _FailingFile:

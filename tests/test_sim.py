@@ -358,6 +358,37 @@ def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, free
         assert np.array_equal(pi_end, pi_ref)
 
 
+def test_run_in_blocks_matches_one_block(monkeypatch):
+    # 300 steps of the bundled network.  A block of one row would go
+    # through numpy's matrix-vector path, so a one-row remainder joins the
+    # block before it and every row comes out as in one block.  Rows per
+    # block of the plant (72 B), the group's metered layer (96 B) and each
+    # agent's observer products (32 B):
+    #   936 B:  13 plant rows, 300 = 23 * 13 + 1
+    #   1248 B: 13 metered rows
+    #   3200 B: 100 observer rows, 301 = 3 * 100 + 1
+    #   256 B:  8 observer rows, and a settled tail with one row over
+    #   2048 B: no one-row remainder anywhere
+    cfg = threebus_attack_scenario()
+    cfg.horizon, cfg.warmup = 0.03, 0.01
+    cfg.load_profiles = {i: segs[:1] for i, segs in cfg.load_profiles.items()}
+    cfg.attacks = [AttackSpec(victim=1, source=3, start=0.01, end=0.03, bias=150.0)]
+
+    def arrays(trace) -> dict:
+        out = {"x_true": trace.x_true}
+        for name in ("y", "x_local", "x_hat", "residuals"):
+            out.update((f"{name}{i}", a) for i, a in getattr(trace, name).items())
+        return out
+
+    monkeypatch.setattr(sim, "BLOCK_BYTES", 1 << 40)
+    whole = arrays(run_scenario(cfg))
+    for block_bytes in (936, 1248, 3200, 256, 2048):
+        monkeypatch.setattr(sim, "BLOCK_BYTES", block_bytes)
+        blocked = arrays(run_scenario(cfg))
+        differ = [k for k, a in whole.items() if not np.array_equal(a, blocked[k])]
+        assert differ == [], block_bytes
+
+
 @pytest.mark.parametrize(
     "scales, freeze_gains, n_steps, groups, settles",
     [
