@@ -111,8 +111,8 @@ MUTANTS = [
     (
         "trace pieces written in reverse order",
         "src/dcmg/_csvrows.py",
-        "range(0, code.size, piece)",
-        "range(0, code.size, piece)[::-1]",
+        "for piece in row_blocks(code.size, _PIECE_FIELD_BYTES):",
+        "for piece in [*row_blocks(code.size, _PIECE_FIELD_BYTES)][::-1]:",
     ),
     (
         "writer's result() dropped",
@@ -131,7 +131,7 @@ MUTANTS = [
         "src/dcmg/_csvrows.py",
         "fh.write(np.compress(kept.view(np.bool_).reshape(-1), text))",
         "fh.write(np.compress(kept.view(np.bool_).reshape(-1), text)"
-        " if k + piece < code.size else text)",
+        " if piece.stop < code.size else text)",
     ),
     (
         "formatter reuses one slot buffer for every block",
@@ -160,8 +160,8 @@ MUTANTS = [
     (
         "report drops the last partial block",
         "src/dcmg/cli.py",
-        "for start in range(0, n_rows, rows):",
-        "for start in range(0, n_rows - n_rows % rows, rows):",
+        "    for rows in row_blocks(n_rows, row_nbytes):\n",
+        "    for rows in [*row_blocks(n_rows, row_nbytes)][:-1]:\n",
     ),
     (
         "report does not carry a channel's scale across blocks",
@@ -202,6 +202,24 @@ MUTANTS = [
         "np.abs(means[1:])",
     ),
     ("bus-key form unchecked", "src/dcmg/cli.py", "if str(bus) != key:", "if False:"),
+    (
+        "row_blocks without the one-row fold",
+        "src/dcmg/lti.py",
+        "stop = min(k + rows, n) - (n - k == rows + 1)",
+        "stop = min(k + rows, n)",
+    ),
+    (
+        "writer's mask buffer sized to the first piece",
+        "src/dcmg/_csvrows.py",
+        "keep = np.empty((first_piece.stop + 1, _WORDS), np.uint64)",
+        "keep = np.empty((first_piece.stop, _WORDS), np.uint64)",
+    ),
+    (
+        "prepare skips the first gain step",
+        "src/dcmg/sim.py",
+        "            gain_step(model, t @ model.r @ t.T)\n",
+        "            pass\n",
+    ),
 ]
 
 _IGNORED = shutil.ignore_patterns(

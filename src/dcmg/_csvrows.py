@@ -13,18 +13,18 @@ other value (non-finite, tiny, huge) is formatted by Python's ``%``, once
 per distinct bit pattern.  Each field's slot holds more bytes than its
 text, and its code names the keep-mask of the bytes the text is made of.
 
-``write_rows`` holds one block of rows of about ``lti.BLOCK_BYTES`` at a
-time, whatever the table's length: ``block_rows`` sizes a block so that
-its values, the scratch its intermediates are formed in, its slots and
-their codes together take about BLOCK_BYTES, and every array of a block
-is preallocated once and filled in place (``out=``).  The digits are
-split off with ``floor_divide`` and a multiply-subtract into contiguous
-rows, and every word is taken at once through their transpose.  Each
-block is split between two threads: the calling thread forms its slots
-and codes, and the worker of a one-thread executor gathers the keep-masks
-by code and writes the bytes they keep, a quarter of BLOCK_BYTES of slots
-at a time, while the calling thread forms the next block in the other
-buffers.  ``np.take`` and ``np.compress`` release the GIL.
+``write_rows`` holds one block of rows at a time, whatever the table's
+length: ``lti.row_blocks`` cuts the rows so that a block's values, the
+scratch its intermediates are formed in, its slots and their codes
+together take about ``lti.BLOCK_BYTES``, and every array of a block is
+preallocated once and filled in place (``out=``).  The digits are split
+off with ``floor_divide`` and a multiply-subtract into contiguous rows,
+and every word is taken at once through their transpose.  Each block is
+split between two threads: the calling thread forms its slots and codes,
+and the worker of a one-thread executor gathers the keep-masks by code
+and writes the bytes they keep, a piece of fields at a time whose slots
+take a quarter of a block, while the calling thread forms the next block
+in the other buffers.  ``np.take`` and ``np.compress`` release the GIL.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import functools
 
 import numpy as np
 
-from .lti import BLOCK_BYTES
+from .lti import row_blocks
 
 # Each field fills a slot of 5 little-endian uint64 words (40 bytes):
 #   byte 0       '-'
@@ -53,6 +53,13 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 # float64 rows, one field wide, that _slots forms a block's intermediates in
 # beside the memory of its slots, and last the (F, 5) indices of its words
 _SCRATCH = 5
+# bytes of a block per field: its value, its scratch rows, its slot's words
+# and its code, 8 bytes each
+_FIELD_BYTES = 8 * (1 + _SCRATCH + _WORDS + 1)
+# bytes per field of a piece the writer compacts at a time: compress builds
+# an int64 index of the bytes it keeps (at most 5/8 of them), so pieces of a
+# quarter of a block of 40-byte slots keep that index near one block
+_PIECE_FIELD_BYTES = 4 * 8 * _WORDS
 
 
 def _word(text: str) -> np.uint64:
@@ -220,42 +227,34 @@ def _slots(
         code[slow] = _TEXT_MASK + np.array([len(s) for s in texts])[which]
 
 
-def block_rows(width: int) -> int:
-    """Rows per block of a table ``width`` fields wide: a block's values,
-    its scratch rows, its slots and their codes together take about
-    BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (width * 8 * (1 + _SCRATCH + _WORDS + 1)))
-
-
 def write_rows(fh, columns) -> None:
     """Write the side-by-side concatenation of ``columns`` (1-D and 2-D
-    arrays of equal length) to the binary file ``fh``, ``block_rows`` rows
-    at a time, without forming the whole matrix.
+    arrays of equal length) to the binary file ``fh`` a block of rows at a
+    time (``lti.row_blocks``), without forming the whole matrix.
 
     Every block is formed in the same preallocated values and scratch,
     and its slots and codes in one of two buffers each: one task on the
     executor's worker writes the blocks in order, one block's slots while
     this thread forms the next block's in the other buffers.  The worker
-    takes a piece of a block's fields at a time: it gathers their
-    keep-masks by code into one preallocated buffer, and writes the slot
-    bytes those keep.  A buffer is formed again only once its block is
-    written.  ``result()`` re-raises the worker's error here, and no later
-    block is written."""
+    takes a piece of a block's fields at a time (``lti.row_blocks`` of
+    ``_PIECE_FIELD_BYTES`` each): it gathers their keep-masks by code into
+    one preallocated buffer, and writes the slot bytes those keep.  A
+    buffer is formed again only once its block is written.  ``result()``
+    re-raises the worker's error here, and no later block is written."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n, width = len(columns[0]), sum(c.shape[1] for c in columns)
-    if width == 0:
+    if width == 0 or n == 0:
         fh.write(b"\n" * n)
         return
-    rows = max(1, min(block_rows(width), n))
-    values = np.empty((rows, width))
-    scratch = np.empty(_SCRATCH * rows * width)
-    slots = np.empty((2, rows * width, _WORDS), np.uint64)
-    codes = np.empty((2, rows * width), np.int64)
-    # fields compacted at a time: compress builds an int64 index of the
-    # bytes it keeps (at most 5/8 of them), so a quarter of BLOCK_BYTES of
-    # slots keeps that index near one block
-    piece = max(1, BLOCK_BYTES // 4 // (8 * _WORDS))
-    keep = np.empty((min(piece, rows * width), _WORDS), np.uint64)
+    values = np.empty((next(row_blocks(n, width * _FIELD_BYTES)).stop, width))
+    scratch = np.empty(_SCRATCH * values.size)
+    slots = np.empty((2, values.size, _WORDS), np.uint64)
+    codes = np.empty((2, values.size), np.int64)
+    # a block of fewer fields may start with a longer piece: a piece's
+    # fields and one more are cut into a piece one field short and two
+    # fields, so one field more than the first piece is enough
+    first_piece = next(row_blocks(values.size, _PIECE_FIELD_BYTES))
+    keep = np.empty((first_piece.stop + 1, _WORDS), np.uint64)
     masks = _tables()[2]
     # imported here, as ``import dcmg`` never needs them; concurrent.futures
     # loads logging
@@ -274,10 +273,10 @@ def write_rows(fh, columns) -> None:
         try:
             while (block := todo.get()) is not None:
                 words, code = block
-                for k in range(0, code.size, piece):
-                    kept = keep[: min(piece, code.size - k)]
-                    np.take(masks, code[k : k + piece], axis=0, out=kept, mode="clip")
-                    text = words[k : k + piece].view(np.uint8).reshape(-1)
+                for piece in row_blocks(code.size, _PIECE_FIELD_BYTES):
+                    kept = keep[: piece.stop - piece.start]
+                    np.take(masks, code[piece], axis=0, out=kept, mode="clip")
+                    text = words[piece].view(np.uint8).reshape(-1)
                     fh.write(np.compress(kept.view(np.bool_).reshape(-1), text))
                 done.put(True)
         except BaseException:
@@ -289,11 +288,11 @@ def write_rows(fh, columns) -> None:
     with ThreadPoolExecutor(1) as pool:
         writing = pool.submit(write)
         try:
-            for b, k in enumerate(range(0, n, rows)):
+            for b, span in enumerate(row_blocks(n, width * _FIELD_BYTES)):
                 if b >= 2 and not done.get():  # block b - 2 was not written
                     break
-                block = values[: min(rows, n - k)]
-                np.concatenate([c[k : k + rows] for c in columns], axis=1, out=block)
+                block = values[: span.stop - span.start]
+                np.concatenate([c[span] for c in columns], axis=1, out=block)
                 words, code = slots[b % 2, : block.size], codes[b % 2, : block.size]
                 _slots(block.reshape(-1), width, words, code, scratch)
                 todo.put((words, code))

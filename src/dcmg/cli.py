@@ -25,7 +25,7 @@ import numpy as np
 from ._csvrows import write_rows
 from .detect import SIGMA_FLOOR, DetectionEvent
 from .errors import DcmgError, ParseError, ValidationError
-from .lti import BLOCK_BYTES
+from .lti import row_blocks
 from .sim import (
     ScenarioConfig,
     SimulationTrace,
@@ -237,7 +237,7 @@ def build_report(
     warm-up, and each channel's |mean| / sigma over the second half of
     each span between events (``_windows``).  Every mean is reduced a
     block of rows at a time by ``_scaled_means``, so the report holds one
-    block of about BLOCK_BYTES beyond the trace."""
+    block of rows beyond the trace."""
     k_warm = step_index(config.warmup, config.ts, "warmup")
     rms, table = {}, {}
     for agent, res in trace.residuals.items():
@@ -286,23 +286,22 @@ def _scaled_means(res: np.ndarray, spans, powers) -> np.ndarray:
     """For each span [k_lo, k_hi) of the rows of ``res`` and its power p,
     each column's mean of value ** p, to the power 1 / p: one row per span.
 
-    The rows are reduced a block at a time, each block transposed into
-    one contiguous row per channel, which the reductions run through
-    several times faster than a strided column; the transposed block and
-    its scaled copy together take about BLOCK_BYTES.  Each sum is kept
-    scaled by its channel's max(|value|, 1) so far, rescaled when a block
-    raises it, so that finite values give a finite result."""
+    The rows are reduced a block at a time (``lti.row_blocks``), each
+    transposed into one contiguous row per channel, which the reductions
+    run through several times faster than a strided column, and scaled
+    into a copy.  Each sum is kept scaled by its channel's max(|value|, 1)
+    so far, rescaled when a block raises it, so that finite values give a
+    finite result."""
     n_rows, width = res.shape
     scale = np.ones((len(spans), width))
     total = np.zeros((len(spans), width))
-    rows = max(1, BLOCK_BYTES // (2 * res[0].nbytes))
-    block, scaled = np.empty((2, width, min(rows, n_rows)))
-    for start in range(0, n_rows, rows):
-        stop = min(start + rows, n_rows)
-        channels = block[:, : stop - start]
-        channels[...] = res[start:stop].T
+    row_nbytes = 2 * res[0].nbytes  # a row and its scaled copy
+    block, scaled = np.empty((2, width, next(row_blocks(n_rows, row_nbytes)).stop))
+    for rows in row_blocks(n_rows, row_nbytes):
+        channels = block[:, : rows.stop - rows.start]
+        channels[...] = res[rows].T
         for (k_lo, k_hi), p, s, t in zip(spans, powers, scale, total):
-            lo, hi = max(k_lo, start) - start, min(k_hi, stop) - start
+            lo, hi = max(k_lo - rows.start, 0), min(k_hi, rows.stop) - rows.start
             if lo < hi:
                 part = channels[:, lo:hi]
                 peak = np.maximum(np.maximum(part.max(axis=1), -part.min(axis=1)), s)
@@ -367,7 +366,7 @@ def export_trace_csv(trace: SimulationTrace, path) -> None:
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``,
     produced a block of rows at a time by :mod:`dcmg._csvrows`, each block
-    sized from ``lti.BLOCK_BYTES`` and formed in buffers allocated once:
+    cut by ``lti.row_blocks`` and formed in buffers allocated once:
     this thread forms each block's fixed-width slots and each field's
     mask code, and a second thread gathers the masks by code and writes
     the bytes they keep while this one forms the next.  The exact

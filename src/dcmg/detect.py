@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveInput, UnknownComponent
-from .lti import BLOCK_BYTES, propagate_into
+from .lti import propagate_into, row_blocks
 from .uio import AgentModel
 
 SIGMA_FLOOR = 1e-12
@@ -114,8 +114,8 @@ def monitor(
     the corresponding neighbour.  Events come sorted by (time, agent,
     component).
 
-    The rows are scanned in blocks of BLOCK_BYTES of statistic, at least
-    one row each.  Each block's EWMA starts from the previous block's last
+    The rows are scanned in the blocks ``lti.row_blocks`` cuts for the
+    statistic.  Each block's EWMA starts from the previous block's last
     row, and each channel's run above kappa that reaches a block's end
     carries into the next block, so the events are those of one scan over
     all N rows.
@@ -135,17 +135,14 @@ def monitor(
             f"times must have shape ({residuals.shape[0]},), got {times.shape}"
         )
 
-    rows = max(1, BLOCK_BYTES // (max(m, 1) * residuals.itemsize))
     start = 0.0
     # each channel's samples above kappa up to the block, and whether it
     # has latched
     run = np.zeros(m, dtype=np.intp)
     latched = np.zeros(m, dtype=bool)
     events: list[DetectionEvent] = []
-    for k0 in range(0, residuals.shape[0], rows):
-        s = ewma_statistic(
-            residuals[k0 : k0 + rows], sigmas, config.ewma_alpha, start
-        )
+    for span in row_blocks(residuals.shape[0], m * residuals.itemsize):
+        s = ewma_statistic(residuals[span], sigmas, config.ewma_alpha, start)
         start = s[-1].copy()
         above = s >= config.kappa
         reached = above.any(axis=0)
@@ -168,7 +165,7 @@ def monitor(
                     agent=model.agent_id,
                     accused_neighbor=_neighbor_for(model, c),
                     component=model.labels[c],
-                    time=float(times[k0 + k]),
+                    time=float(times[span.start + k]),
                     statistic=float(s[k, col]),
                 )
             )

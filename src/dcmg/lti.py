@@ -32,13 +32,25 @@ RANK_RTOL = 1e-12
 SCAN_BLOCK = 256
 
 # bytes of one block of rows that a stage outside the propagation forms or
-# scans at a time: the plant's load term, the metered layers' drives, the
-# observers' products with y, the detector's statistic, the report's
-# reductions and the trace export's formatting
+# scans at a time (``row_blocks``): the plant's load term, the metered
+# layers' drives, the observers' products with y, the detector's statistic,
+# the report's reductions and the trace export's formatting and compaction
 BLOCK_BYTES = 1 << 20
 
 # the widest shared state matrix that propagate_into scans by row-pair products
 PAIR_MAX_N = 8
+
+
+def row_blocks(n: int, row_nbytes: int):
+    """Slices over n rows of ``row_nbytes`` each, in order, of about
+    BLOCK_BYTES and at least three rows.  None is longer than the first,
+    which sizes every buffer, and a one-row remainder takes a row of the
+    block before it, as numpy rounds a one-row product by another path."""
+    rows, k = max(3, BLOCK_BYTES // max(row_nbytes, 1)), 0
+    while k < n:
+        stop = min(k + rows, n) - (n - k == rows + 1)
+        yield slice(k, stop)
+        k = stop
 
 
 @dataclass

@@ -37,10 +37,8 @@ forms its drive from them while they are true, then the attack biases
 are added in place for the observers and ``comms``.  The gain recursion
 reads the model, never the data, so one recursion serves a group's
 observers: every step makes one ``uio.gain_step`` and advances all the
-group's z-recursions together.  The covariance it updates settles at one
-fixed point, and the recursion stops on the first step that moves it by
-at most a tolerance: 4 n eps max|Pi| with ``freeze_gains``, and zero
-(an exact repeat) without it.  The rest of the group's horizon is then
+group's z-recursions together.  Once the covariance it updates settles
+(``_run_observer`` states the rule), the rest of the group's horizon is
 an LTI recursion in z with that step's gains, which all its agents run
 together as one ``lti.propagate_into``.  The detector divides each
 residual by sqrt(diag(Pi + M R M^T)) of its group's final Pi, with
@@ -48,12 +46,11 @@ M = I - H, never by a spread estimated from the data.  Every state
 series is formed in place, x_0 and the drive rows written straight into
 the state array, and scanned by ``lti.propagate_into``; a group's
 metered layer and measurements read its one model.  A temporary holds
-at most one block of about ``lti.BLOCK_BYTES`` of rows, so a run's
-working set is its trace plus such a block: the plant's load term, each
-group's input rows and metered-layer drive, each agent's products with
-its measurements in the observer, and ``monitor``'s scan of the
-residuals all go a block of rows at a time.  No product goes in a block
-of one row (``_row_blocks``), so each row comes out as in one block.
+at most one block of rows (``lti.row_blocks``), so a run's working set
+is its trace plus such a block: the plant's load term, each group's
+input rows and metered-layer drive, each agent's products with its
+measurements in the observer, and ``monitor``'s scan of the residuals
+all go a block at a time, and each row comes out as in one block.
 A plant state that overflows raises ``NonFinite``.  An executor's worker
 draws each agent's measurement noise into its row of ``y`` while the
 calling thread forms the plant and the metered layers; ``y`` is then
@@ -79,9 +76,10 @@ from .errors import (
     NegativeVariance,
     NonFinite,
     NonPositiveInput,
+    SingularInnovation,
     ValidationError,
 )
-from .lti import BLOCK_BYTES, RANK_RTOL, DiscreteModel, discretize_zoh, propagate_into
+from .lti import RANK_RTOL, DiscreteModel, discretize_zoh, propagate_into, row_blocks
 from .netmodel import DEFAULT_BUS_MEAS_VAR, DEFAULT_LINE_MEAS_VAR, DEFAULT_PROCESS_VAR
 from .netmodel import GlobalModel, NetworkSpec, build_global, partition_agent
 from .uio import AgentModel, discretize_agent, gain_step
@@ -434,7 +432,7 @@ def prepare(config: ScenarioConfig) -> Plan:
     """Validate a scenario and build its plan: the network model and its
     ZOH plant, every agent's model and structural gains, the groups of
     equal models, the step count and x_0, nothing of horizon length.  A
-    model or a steady start that cannot be built raises ValidationError."""
+    model, first gain step or steady start that fails raises ValidationError."""
     validate_config(config)
     spec, noise = config.network, config.noise
     gm = build_global(spec)
@@ -458,6 +456,14 @@ def prepare(config: ScenarioConfig) -> Plan:
         matrices = (model.a, model.b_x, model.e, model.c, model.q, model.r)
         key = tuple((mat.shape, mat.tobytes()) for mat in matrices)
         by_model.setdefault(key, []).append(i)
+    # the gain recursion reads the model alone, so a group whose first step
+    # has a singular innovation covariance would fail every run
+    for model in (models[group[0]] for group in by_model.values()):
+        t = model.structural[1]
+        try:
+            gain_step(model, t @ model.r @ t.T)
+        except SingularInnovation as exc:
+            raise ValidationError(f"noise: {exc}") from exc
 
     x0 = np.zeros(gm.n_state)
     if config.initial_state == "steady":
@@ -473,18 +479,6 @@ def prepare(config: ScenarioConfig) -> Plan:
             x0 = _dc_operating_point(plant.a, plant.b @ u0 + plant.e @ d0)
     n_steps = step_index(config.horizon, config.ts, "horizon")
     return Plan(config, gm, plant, models, list(by_model.values()), n_steps, x0)
-
-
-def _row_blocks(n: int, row_nbytes: int):
-    """Slices of about BLOCK_BYTES of rows, ``row_nbytes`` each, over n
-    rows.  No block has one row unless n is 1: a one-row remainder joins
-    the block before it, as numpy forms a one-row product by its
-    matrix-vector path, which may round differently."""
-    rows, k = max(2, BLOCK_BYTES // row_nbytes), 0
-    while k < n:
-        stop = n if n - k <= rows + 1 else k + rows
-        yield slice(k, stop)
-        k = stop
 
 
 def _run_observer(
@@ -517,13 +511,12 @@ def _run_observer(
     as one ``lti.propagate_into``, within 1e-13 max|x^| of stepping on with
     them.  A recursion that never settles steps to the horizon.  The
     products with y (the settled tail's drive, then x^ = z + H y) go a
-    block of about BLOCK_BYTES of one agent's rows at a time.
+    block of one agent's rows (``lti.row_blocks``) at a time.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     h, t = model.structural
-    # the products with y go a block of rows per agent: one for the whole
-    # group would need a temporary as large as its rows of z
-    row_nbytes = y[0, 0].nbytes
+    # the products with y go a block of one agent's rows at a time: one for
+    # the whole group would need a temporary as large as its rows of z
     z = np.empty((g, n_steps + 1, model.n))
     z[:, 0] = y[:, 0] - (h @ y[:, 0, :, None])[..., 0]
     np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
@@ -536,7 +529,7 @@ def _run_observer(
         pi = pi_next
         if settled:
             for zj, yj in zip(z[:, k + 1 :], y[:, k:-1]):
-                for span in _row_blocks(n_steps - k, row_nbytes):
+                for span in row_blocks(n_steps - k, y[0, 0].nbytes):
                     zj[span] += yj[span] @ k_sum.T
             propagate_into(f, z[:, k:])
             break
@@ -544,7 +537,7 @@ def _run_observer(
             (f @ z[:, k, :, None])[..., 0] + z[:, k + 1]
         ) + (k_sum @ y[:, k, :, None])[..., 0]
     for j in range(g):
-        for span in _row_blocks(n_steps + 1, row_nbytes):
+        for span in row_blocks(n_steps + 1, y[0, 0].nbytes):
             x_hat, yj = z[j, span], y[j, span]
             x_hat += yj @ h.T
             if span.start == 0:
@@ -569,7 +562,7 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """The monolithic physical layer's states from x_0, and its drives:
     source setpoints u, loads d and process draws w, one row per step.
     The drive rows are formed in place in the state array; the load term
-    takes one product per block of about BLOCK_BYTES of rows."""
+    takes one product per block of rows (``lti.row_blocks``)."""
     config, gm, plant, n_steps = plan.config, plan.gm, plan.plant, plan.n_steps
     spec, n = config.network, config.network.n_bus
     u = np.column_stack(
@@ -609,7 +602,7 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         drive = x[1:]
         np.matmul(u, plant.b.T, out=drive)
-        for span in _row_blocks(n_steps, x[0].nbytes):
+        for span in row_blocks(n_steps, x[0].nbytes):
             drive[span] += d[span] @ plant.e.T
         drive += w
         propagate_into(plant.a, x)
@@ -624,9 +617,9 @@ def _plant(plan: Plan, times: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each group's input block and metered layer, from the plant's states
-    and drives.  A group's input rows and drive rows are formed one block
-    of about BLOCK_BYTES at a time, so no temporary grows with the horizon
-    and each pass over the plant's series serves every agent of the group."""
+    and drives.  A group's input and drive rows are formed a block at a
+    time (``lti.row_blocks``), so no temporary grows with the horizon and
+    each pass over the plant's series serves every agent of the group."""
     config, models, n_steps = plan.config, plan.models, plan.n_steps
     # one input block per group: row k holds each agent's source setpoint
     # and the neighbour voltages it receives at step k; the last row is
@@ -646,7 +639,7 @@ def _metered(plan: Plan, x, u, d, w) -> tuple[list[np.ndarray], list[np.ndarray]
         sign = np.stack([models[i].state_sign for i in group])
         loc = np.empty((len(group), n_steps + 1, model.n))
         loc[:, 0] = x[0, index] * sign
-        for span in _row_blocks(n_steps, loc[:, 0].nbytes):
+        for span in row_blocks(n_steps, loc[:, 0].nbytes):
             inp, drive = block[:, span], loc[:, span.start + 1 : span.stop + 1]
             inp[..., 0] = u[span, buses].T
             inp[..., 1:] = x[span][:, nbrs].swapaxes(0, 1)

@@ -22,9 +22,9 @@ from hypothesis.extra import numpy as hnp
 
 import dcmg._csvrows as csvrows
 import dcmg.cli as cli
-import dcmg.detect as detect
+import dcmg.lti as lti
 import dcmg.sim as sim
-from dcmg._csvrows import block_rows, write_rows
+from dcmg._csvrows import write_rows
 from dcmg.detect import DetectionEvent, DetectorConfig
 from dcmg.errors import DcmgError, NonFinite, ParseError, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
@@ -728,6 +728,38 @@ def test_unbuildable_model_exits_2_naming_the_field(tmp_path, edits, where):
     assert not out_dir.exists()
 
 
+def test_zero_line_noise_on_the_triangle_exits_2_naming_noise(tmp_path):
+    # each agent of the triangle meters two line currents that the load
+    # moves alike: with r_line = 0 their difference is metered exactly, so
+    # the first gain step's innovation covariance is singular whatever the
+    # data, and the scenario is invalid
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_cut([(("noise", "r_line"), 0.0)])))
+    out_dir = tmp_path / "out"
+    for validate_only in (True, False):
+        code, out, err = run_cli(path, out_dir, validate_only=validate_only)
+        assert (code, out) == (2, "")
+        assert err == "error: noise: agent 1: innovation covariance is singular\n"
+    assert not out_dir.exists()
+
+
+def test_zero_line_noise_on_two_buses_runs(tmp_path):
+    # an agent of two buses meters one line current: r_line = 0 is valid
+    scn = _cut([(("noise", "r_line"), 0.0)])
+    network = scn["network"]
+    network["buses"] = network["buses"][:2]
+    network["lines"] = [line for line in network["lines"] if line["head"] == 2]
+    for name in ("load_profiles", "source_schedule"):
+        scn[name] = {bus: v for bus, v in scn[name].items() if bus != "3"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    out_dir = tmp_path / "out"
+    for validate_only in (True, False):
+        code, _, err = run_cli(path, out_dir, validate_only=validate_only, quiet=True)
+        assert (code, err) == (0, "")
+    assert (out_dir / "report.txt").exists()
+
+
 def test_huge_residuals_report_a_finite_rms(tmp_path, monkeypatch):
     # finite but huge: the plant stays finite from a zero start, and the
     # residuals' squares would overflow
@@ -856,7 +888,7 @@ def test_report_means_in_blocks_match_whole_horizon_means(monkeypatch, scale):
     plain = {agent: res.copy() for agent, res in trace.residuals.items()}
     for res in trace.residuals.values():
         res *= scale  # at 1e305 a plain mean overflows
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 7 * 2 * 4 * 8)
+    monkeypatch.setattr(lti, "BLOCK_BYTES", 7 * 2 * 4 * 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = cli.build_report(config, trace, 0.0)
@@ -881,8 +913,7 @@ def test_run_working_set_beyond_the_trace_does_not_grow_with_the_horizon(
     # blocks of 64 KiB in every stage: the run, the report and the export
     # each hold one block beyond the trace while the trace triples; the
     # report's whole-horizon channel copies would add about 0.5 MiB
-    for module in (sim, detect, cli, csvrows):
-        monkeypatch.setattr(module, "BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(lti, "BLOCK_BYTES", 1 << 16)
     stages = ("run_scenario", "build_report", "export_trace_csv")
     peaks, traces = {}, []
 
@@ -957,6 +988,12 @@ def _rows(n, width=3):
     return np.sin(np.arange(n * width, dtype=float)).reshape(n, width) * 1e3
 
 
+def block_rows(width: int) -> int:
+    """Rows of the trace writer's first block of a long table ``width``
+    fields wide."""
+    return next(lti.row_blocks(sys.maxsize, width * csvrows._FIELD_BYTES)).stop
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     hnp.arrays(
@@ -992,7 +1029,7 @@ def test_block_writer_matches_savetxt(data):
     assert buf.getvalue() == expected
     # blocks of a few rows, each slot text compacted in several pieces
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csvrows, "BLOCK_BYTES", 1 << 11)
+        mp.setattr(lti, "BLOCK_BYTES", 1 << 11)
         buf = io.BytesIO()
         write_rows(buf, [data])
     assert buf.getvalue() == expected
@@ -1021,6 +1058,18 @@ def test_block_writer_writes_every_code_as_printf():
     values = [sign * fixed[code] for code in codes for sign in (1, -1)]
     values += [0.0, -0.0, *texts]
     data = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+    buf = io.BytesIO()
+    write_rows(buf, [data])
+    assert buf.getvalue() == savetxt_csv(data)
+
+
+def test_block_writer_fits_a_later_blocks_longer_piece(monkeypatch):
+    # one-field rows in blocks of 4, 3 and 2, compacted in pieces of at
+    # most 3 fields: the first block is cut into pieces of 2 and 2, the
+    # second is one piece of 3, so the mask buffer must outgrow the first
+    # block's first piece
+    monkeypatch.setattr(lti, "BLOCK_BYTES", 400)
+    data = _rows(9, width=1)
     buf = io.BytesIO()
     write_rows(buf, [data])
     assert buf.getvalue() == savetxt_csv(data)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import dcmg.detect as detect
+import dcmg.lti as lti
 from dcmg.detect import DetectorConfig, ewma_statistic, monitor
 from dcmg.errors import NonPositiveInput, UnknownComponent
 from oracles import ewma_loop, latch_loop
@@ -189,7 +189,7 @@ BLOCK_ROWS = 64
 
 
 def set_block_rows(monkeypatch, width):
-    monkeypatch.setattr(detect, "BLOCK_BYTES", BLOCK_ROWS * width * 8)
+    monkeypatch.setattr(lti, "BLOCK_BYTES", BLOCK_ROWS * width * 8)
 
 
 def test_blocked_ewma_matches_one_recursion(agent_models, monkeypatch):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import tracemalloc
 import warnings
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dcmg
 from dcmg.errors import (
     DimensionMismatch,
     NonFinite,
@@ -14,12 +17,14 @@ from dcmg.errors import (
     RankDeficient,
 )
 from dcmg.lti import (
+    BLOCK_BYTES,
     PAIR_MAX_N,
     SCAN_BLOCK,
     discretize_zoh,
     left_pinv,
     matrix_exponential,
     propagate_into,
+    row_blocks,
 )
 from oracles import expm_series, propagate_loop, zoh_series
 
@@ -384,3 +389,32 @@ def test_left_pinv_zero_columns_degenerate():
 def test_left_pinv_rejects_non_2d():
     with pytest.raises(DimensionMismatch):
         left_pinv(np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# row_blocks
+
+
+@pytest.mark.parametrize("row_nbytes", [0, 96, 1 << 18, 1 << 30])
+def test_row_blocks_cut_the_rows_in_order(row_nbytes):
+    # a full block holds about BLOCK_BYTES of rows, and at least three rows
+    rows = max(3, BLOCK_BYTES // max(row_nbytes, 1))
+    for n in (0, 1, 2, rows - 1, rows, rows + 1, 3 * rows + 1):
+        blocks = list(row_blocks(n, row_nbytes))
+        edges = [0] + [block.stop for block in blocks]
+        assert blocks == [slice(a, b) for a, b in zip(edges, edges[1:])]
+        assert edges[-1] == n  # so n = 0 gives no block
+        lengths = np.diff(edges)
+        assert (lengths <= lengths[:1]).all(), n  # none longer than the first
+        assert (lengths >= 2).all() or n == 1, n  # no block of one row
+        if n >= rows + 2:
+            assert lengths[0] == rows
+
+
+def test_only_lti_holds_block_bytes():
+    # the tests cut small blocks by patching lti.BLOCK_BYTES: a module that
+    # held a copy of its own would go on cutting full ones, and a test that
+    # patched it would pass without testing blocks
+    names = ["dcmg"] + [m.name for m in pkgutil.iter_modules(dcmg.__path__, "dcmg.")]
+    holders = [n for n in names if hasattr(importlib.import_module(n), "BLOCK_BYTES")]
+    assert holders == ["dcmg.lti"]

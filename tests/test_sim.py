@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dcmg.lti as lti
 import dcmg.sim as sim
 from dcmg.errors import NegativeVariance, ValidationError
 from dcmg.lti import propagate_into
@@ -337,7 +338,7 @@ def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, free
     # blocks of 7 rows per agent: the settled tail's drive, the estimates
     # and the residuals go a block at a time, bit for bit as in one piece;
     # only the first block starts from x^_0 = y_0
-    monkeypatch.setattr(sim, "BLOCK_BYTES", 7 * 4 * 8)
+    monkeypatch.setattr(lti, "BLOCK_BYTES", 7 * 4 * 8)
     rng = np.random.default_rng(12)
     model, n_steps = agent_models[1], 305
     y = 12_000.0 + 40.0 * rng.standard_normal((2, n_steps + 1, 4))
@@ -360,8 +361,8 @@ def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, free
 
 def test_run_in_blocks_matches_one_block(monkeypatch):
     # 300 steps of the bundled network.  A block of one row would go
-    # through numpy's matrix-vector path, so a one-row remainder joins the
-    # block before it and every row comes out as in one block.  Rows per
+    # through numpy's matrix-vector path, so a one-row remainder takes a
+    # row of the block before it and every row comes out as in one block.  Rows per
     # block of the plant (72 B), the group's metered layer (96 B) and each
     # agent's observer products (32 B):
     #   936 B:  13 plant rows, 300 = 23 * 13 + 1
@@ -380,10 +381,10 @@ def test_run_in_blocks_matches_one_block(monkeypatch):
             out.update((f"{name}{i}", a) for i, a in getattr(trace, name).items())
         return out
 
-    monkeypatch.setattr(sim, "BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(lti, "BLOCK_BYTES", 1 << 40)
     whole = arrays(run_scenario(cfg))
     for block_bytes in (936, 1248, 3200, 256, 2048):
-        monkeypatch.setattr(sim, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(lti, "BLOCK_BYTES", block_bytes)
         blocked = arrays(run_scenario(cfg))
         differ = [k for k, a in whole.items() if not np.array_equal(a, blocked[k])]
         assert differ == [], block_bytes
