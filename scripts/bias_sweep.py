@@ -3,12 +3,13 @@
 Usage:
     python3 scripts/bias_sweep.py [--biases 20,40,...] [--out sweep.csv]
 
-For each bias level, bus 3 falsifies the voltage it reports to bus 1
-from t = 1 s onward (full measurement/process noise, seeded).  The run
-records whether agent 1 latched an alarm on the I1_3 channel, how long
-after onset, and the peak EWMA statistic.  Small biases drown in the
-line-current noise floor; the table shows where the detector's
-sensitivity actually starts.
+Each run is the bundled ``scenarios/threebus_attack.json`` cut to 3 s,
+with constant 1 kA loads and one attack: bus 3 falsifies the voltage it
+reports to bus 1 by the bias level from t = 1 s onward (full
+measurement/process noise, seeded).  The run records whether agent 1
+latched an alarm on the I1_3 channel, how long after onset, and the peak
+EWMA statistic.  Small biases drown in the line-current noise floor; the
+table shows where the detector's sensitivity actually starts.
 
 A malformed bias list or an invalid scenario (say, a negative seed, or
 models that cannot be built) prints one ``error:`` line and exits 2
@@ -24,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from dcmg.cli import RUN_ERRORS  # noqa: E402
+from dcmg.cli import RUN_ERRORS, load_config  # noqa: E402
 from dcmg.detect import ewma_statistic  # noqa: E402
 from dcmg.errors import ValidationError  # noqa: E402
-from dcmg.presets import threebus_attack_scenario  # noqa: E402
 from dcmg.sim import (  # noqa: E402
     AttackSpec,
     LoadSegment,
@@ -38,6 +39,7 @@ from dcmg.sim import (  # noqa: E402
     step_index,
 )
 
+SCENARIO = ROOT / "scenarios" / "threebus_attack.json"
 ONSET = 1.0
 HORIZON = 3.0
 
@@ -48,7 +50,7 @@ def bias_list(text: str) -> list[float]:
 
 
 def scenario(bias: float, seed: int):
-    config = threebus_attack_scenario()
+    config = load_config(SCENARIO)
     config.horizon = HORIZON
     config.seeds.root = seed
     config.load_profiles = {

@@ -215,6 +215,12 @@ MUTANTS = [
         "keep = np.empty((first_piece.stop, _WORDS), np.uint64)",
     ),
     (
+        "negative noise variance accepted",
+        "src/dcmg/sim.py",
+        "if not (math.isfinite(value) and value >= 0):",
+        "if not math.isfinite(value):",
+    ),
+    (
         "prepare skips the first gain step",
         "src/dcmg/sim.py",
         "            gain_step(model, t @ model.r @ t.T)\n",

@@ -41,28 +41,13 @@ DEFAULT_BUS_MEAS_VAR = 100.0
 DEFAULT_LINE_MEAS_VAR = 10.0
 
 
-def droop_ohms(droop_percent: float, v_rated: float, p_rated: float) -> float:
-    """Convert a per-unit droop figure into an equivalent series resistance.
-
-    Uses the base-impedance convention ``R_d = pct * V_rated**2 / P_rated``
-    so that a 5 % droop on a 12 kV, 50 MW converter gives 0.144 ohm.
-    """
-    if droop_percent < 0.0:
-        raise NonPositiveInput(f"droop_percent must be >= 0, got {droop_percent}")
-    if v_rated <= 0.0:
-        raise NonPositiveInput(f"v_rated must be > 0, got {v_rated}")
-    if p_rated <= 0.0:
-        raise NonPositiveInput(f"p_rated must be > 0, got {p_rated}")
-    return droop_percent * v_rated * v_rated / p_rated
-
-
 @dataclass
 class BusParams:
     """Converter-plus-filter parameters of one bus.
 
     ``r_internal``/``l_internal`` are the source branch impedance,
     ``c_output`` the bus capacitance, ``droop_gain`` the virtual droop
-    resistance in ohms (already converted, see :func:`droop_ohms`).
+    resistance in ohms.
     """
 
     r_internal: float

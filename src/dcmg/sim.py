@@ -285,10 +285,8 @@ def validate_config(config: ScenarioConfig) -> None:
 
     for name in ("q_state", "r_bus", "r_line"):
         value = getattr(config.noise, name)
-        if not math.isfinite(value):
-            raise ValidationError(f"noise.{name} must be finite, got {value}")
-    if config.noise.q_state < 0 or config.noise.r_bus < 0 or config.noise.r_line < 0:
-        raise ValidationError("noise: variances must be >= 0")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"noise.{name} must be finite and >= 0, got {value}")
 
     seeds = {"root": config.seeds.root}
     if config.seeds.process is not None:

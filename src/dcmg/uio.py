@@ -85,10 +85,6 @@ class AgentModel:
     def m(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def n_neighbors(self) -> int:
-        return len(self.couplings)
-
     @cached_property
     def structural(self) -> tuple[np.ndarray, np.ndarray]:
         """(H, T) of :func:`structural_gains`, computed once per model; the

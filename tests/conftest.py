@@ -1,8 +1,8 @@
 import pytest
 
 from dcmg.netmodel import build_global, partition_agent
-from dcmg.presets import threebus_network
 from dcmg.uio import discretize_agent
+from networks import threebus_network
 
 TS = 1e-4
 

@@ -1,7 +1,32 @@
-"""Networks the observer tests run on besides the bundled triangle."""
+"""The bundled scenario, the one copy the tests read, and the networks the
+observer tests run on besides its triangle."""
 
+import copy
+from pathlib import Path
+
+from dcmg.cli import load_config
 from dcmg.netmodel import LineParams, NetworkSpec
-from dcmg.presets import example_bus, threebus_network
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
+
+
+def bundled_scenario():
+    """``scenarios/threebus_attack.json``, loaded afresh on each call."""
+    return load_config(SCENARIO)
+
+
+def threebus_network():
+    """The bundled triangle: three identical buses, 0.1 ohm / 0.5 mH lines."""
+    return bundled_scenario().network
+
+
+_BUS = threebus_network().buses[0]
+
+
+def example_bus():
+    """A copy of the bundled bus: 50 MW, 0.05 ohm / 3 mH, 10 uF, 0.144 ohm
+    droop."""
+    return copy.deepcopy(_BUS)
 
 
 def heterogeneous_network():
@@ -18,8 +43,8 @@ def heterogeneous_network():
 
 
 def path_network():
-    """Four preset buses in a path: the end agents have one neighbour
-    (n = 3), the middle ones two (n = 4)."""
+    """Four copies of the bundled bus in a path: the end agents have one
+    neighbour (n = 3), the middle ones two (n = 4)."""
     return NetworkSpec(
         buses=[example_bus() for _ in range(4)],
         lines=[
@@ -29,8 +54,8 @@ def path_network():
 
 
 def ring_network(n):
-    """``n`` preset buses in a ring: every agent has two neighbours, and
-    all agents form one group."""
+    """``n`` copies of the bundled bus in a ring: every agent has two
+    neighbours, and all agents form one group."""
     return NetworkSpec(
         buses=[example_bus() for _ in range(n)],
         lines=[

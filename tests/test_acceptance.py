@@ -11,7 +11,6 @@ exported artifacts, and the discretization numerics."""
 
 import hashlib
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ import dcmg.cli as cli
 import dcmg.sim as sim
 from dcmg.lti import discretize_zoh, matrix_exponential
 from dcmg.netmodel import build_global, partition_agent
-from dcmg.presets import threebus_attack_scenario, threebus_network
 from dcmg.sim import (
     LoadSegment,
     NoiseConfig,
@@ -30,10 +28,14 @@ from dcmg.sim import (
     step_index,
 )
 from dcmg.uio import AgentModel, discretize_agent, gain_step
-from networks import heterogeneous_network, path_network
+from networks import (
+    SCENARIO,
+    bundled_scenario,
+    heterogeneous_network,
+    path_network,
+    threebus_network,
+)
 from oracles import predictor_step, zoh_series
-
-SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 
 
 @pytest.fixture
@@ -48,7 +50,7 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def attack_run():
-    config = threebus_attack_scenario()
+    config = bundled_scenario()
     t0 = time.perf_counter()
     trace = run_scenario(config)
     wall = time.perf_counter() - t0
@@ -96,7 +98,7 @@ def test_criterion_2_load_decoupling(announce):
             LoadSegment(t_start=1.0, level=1800.0),
         ],
     }
-    config = threebus_attack_scenario()
+    config = bundled_scenario()
     config.horizon = 2.0
     config.warmup = 0.1
     config.attacks = []
@@ -228,7 +230,7 @@ def test_criterion_5_covariance_health(monkeypatch, announce):
     monkeypatch.setattr(sim, "gain_step", recorded)
     monkeypatch.setattr(sim, "_run_observer", observed)
     for network in (threebus_network(), heterogeneous_network(), path_network()):
-        config = threebus_attack_scenario()
+        config = bundled_scenario()
         config.network = network
         config.horizon = 0.05
         config.warmup = 0.01
@@ -262,7 +264,7 @@ def test_criterion_5_covariance_health(monkeypatch, announce):
 
 
 def test_criterion_6_steady_bias_oracle(agent_models, announce):
-    config = threebus_attack_scenario()
+    config = bundled_scenario()
     config.horizon = 3.0
     config.warmup = 0.1
     config.noise = NoiseConfig(inject=False)

@@ -20,7 +20,7 @@ import pytest
 
 import dcmg.sim as sim
 from dcmg.cli import scenario_from_dict
-from dcmg.presets import threebus_attack_scenario
+from networks import SCENARIO, bundled_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -40,7 +40,7 @@ def test_every_sim_target_is_called(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     config = dataclasses.replace(
-        threebus_attack_scenario(),
+        bundled_scenario(),
         horizon=0.05,
         warmup=0.01,
         load_profiles={},
@@ -70,7 +70,7 @@ def test_every_workload_scenario_validates(monkeypatch, seed):
 def test_checks_converge_gains_on_the_bundled_scenario(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     checks = importlib.import_module("checks")
-    scn = json.loads((ROOT / "scenarios" / "threebus_attack.json").read_text())
+    scn = json.loads(SCENARIO.read_text())
     for agent in (1, 2, 3):
         model, gains, p = checks.converged_gains(scn, agent)
         assert model.agent_id == agent

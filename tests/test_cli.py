@@ -28,7 +28,6 @@ from dcmg._csvrows import write_rows
 from dcmg.detect import DetectionEvent, DetectorConfig
 from dcmg.errors import DcmgError, NonFinite, ParseError, ValidationError
 from dcmg.netmodel import LineParams, NetworkSpec
-from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
     AttackSpec,
     LoadSegment,
@@ -39,10 +38,10 @@ from dcmg.sim import (
     run_scenario,
     step_index,
 )
+from networks import SCENARIO, bundled_scenario, example_bus, threebus_network
 from oracles import savetxt_csv, trace_csv
 from test_sim import trace_nbytes
 
-SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "threebus_attack.json"
 README = SCENARIO.parents[1] / "README.md"
 
 
@@ -105,10 +104,6 @@ def run_cli(*args, **kwargs):
 # serialization
 
 
-def test_bundled_scenario_matches_preset():
-    assert cli.load_config(SCENARIO) == threebus_attack_scenario()
-
-
 def test_loading_a_scenario_imports_no_scipy_executor_or_logging():
     # the benchmark's setup_s times ``import dcmg`` plus ``load_config`` in
     # a fresh process: scipy and concurrent.futures (which loads logging)
@@ -127,7 +122,7 @@ def test_loading_a_scenario_imports_no_scipy_executor_or_logging():
     assert proc.stdout == "\n"
 
 
-@pytest.mark.parametrize("config", [threebus_attack_scenario(), gnarly_scenario()])
+@pytest.mark.parametrize("config", [bundled_scenario(), gnarly_scenario()])
 def test_round_trip_through_json(config):
     text = cli.write_config(config)
     assert cli.scenario_from_dict(json.loads(text)) == config
@@ -140,16 +135,15 @@ def test_write_config_creates_file(tmp_path):
 
 
 def test_digest_is_stable_and_sensitive():
-    a = cli.config_digest(threebus_attack_scenario())
-    assert a == cli.config_digest(threebus_attack_scenario())
-    assert a == cli.config_digest(cli.load_config(SCENARIO))
-    tweaked = threebus_attack_scenario()
+    a = cli.config_digest(bundled_scenario())
+    assert a == cli.config_digest(bundled_scenario())
+    tweaked = bundled_scenario()
     tweaked.attacks[0].bias = 151.0
     assert cli.config_digest(tweaked) != a
 
 
 def test_bundled_scenario_is_canonical():
-    config = threebus_attack_scenario()
+    config = bundled_scenario()
     assert cli.config_digest(config) == (
         "d3c2c712bf5171093adedfbb48f2e21c2aa1f00331a2787a6761fb0851777f61"
     )

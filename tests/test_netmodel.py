@@ -15,7 +15,6 @@ from dcmg.netmodel import (
     LineParams,
     NetworkSpec,
     build_global,
-    droop_ohms,
     partition_agent,
 )
 
@@ -33,21 +32,6 @@ AGENT_A = np.array(
 )
 AGENT_B = np.array([[0.0], [333.3333333333333], [0.0], [0.0]])
 AGENT_E = np.array([[-1.0e5], [0.0], [0.0], [0.0]])
-
-
-def test_droop_conversion():
-    assert abs(droop_ohms(0.05, 12_000.0, 50e6) - 0.144) < 1e-12
-    assert droop_ohms(0.0, 400.0, 1e6) == 0.0
-    assert droop_ohms(1.0, 1.0, 1.0) == 1.0
-
-
-def test_droop_rejects_nonpositive_base():
-    with pytest.raises(NonPositiveInput):
-        droop_ohms(-0.01, 12_000.0, 50e6)
-    with pytest.raises(NonPositiveInput):
-        droop_ohms(0.05, 0.0, 50e6)
-    with pytest.raises(NonPositiveInput):
-        droop_ohms(0.05, 12_000.0, 0.0)
 
 
 def test_global_model_frozen_matrices(threebus, global_model):

@@ -9,7 +9,6 @@ import dcmg.sim as sim
 from dcmg.errors import NegativeVariance, ValidationError
 from dcmg.lti import propagate_into
 from dcmg.netmodel import LineParams, NetworkSpec, build_global, partition_agent
-from dcmg.presets import example_bus, threebus_attack_scenario, threebus_network
 from dcmg.sim import (
     AttackSpec,
     LoadSegment,
@@ -25,7 +24,14 @@ from dcmg.sim import (
     validate_config,
 )
 from dcmg.uio import discretize_agent, gain_step
-from networks import heterogeneous_network, path_network, ring_network
+from networks import (
+    bundled_scenario,
+    example_bus,
+    heterogeneous_network,
+    path_network,
+    ring_network,
+    threebus_network,
+)
 from oracles import observer_loop, propagate_loop, zoh_series
 
 
@@ -175,7 +181,7 @@ def test_load_step_does_not_shift_residual_means():
             v += 2.0 * (1.0 - k / (lags + 1.0)) * np.dot(x[:-k], x[k:]) / n
         return np.sqrt(max(v, 0.0))
 
-    cfg = threebus_attack_scenario()
+    cfg = bundled_scenario()
     cfg.attacks = []
     trace = run_scenario(cfg)
     assert trace.alarms == []
@@ -370,7 +376,7 @@ def test_run_in_blocks_matches_one_block(monkeypatch):
     #   3200 B: 100 observer rows, 301 = 3 * 100 + 1
     #   256 B:  8 observer rows, and a settled tail with one row over
     #   2048 B: no one-row remainder anywhere
-    cfg = threebus_attack_scenario()
+    cfg = bundled_scenario()
     cfg.horizon, cfg.warmup = 0.03, 0.01
     cfg.load_profiles = {i: segs[:1] for i, segs in cfg.load_profiles.items()}
     cfg.attacks = [AttackSpec(victim=1, source=3, start=0.01, end=0.03, bias=150.0)]
@@ -507,7 +513,7 @@ def test_settled_tail_matches_stepping_every_step(monkeypatch, network):
     # 0.3 s: the loop stepping every step costs about 70 us per agent-step
     if network is None:
         # the bundled scenario with its first attack moved to 0.2 s
-        cfg = threebus_attack_scenario()
+        cfg = bundled_scenario()
         cfg.load_profiles = {
             i: segments[:1] for i, segments in cfg.load_profiles.items()
         }
@@ -586,7 +592,7 @@ def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
 def test_residual_spread_matches_sigma(network):
     # Monte Carlo: with noise on and no attack, every channel's residual
     # spread after warm-up matches its model sigma
-    cfg = threebus_attack_scenario()
+    cfg = bundled_scenario()
     cfg.horizon = 3.0
     cfg.attacks = []
     cfg.load_profiles = {i: segments[:1] for i, segments in cfg.load_profiles.items()}
@@ -938,7 +944,7 @@ def test_validate_wraps_detector_errors():
         ),
         (
             lambda c: setattr(c, "noise", NoiseConfig(q_state=-1.0)),
-            "variances",
+            r"noise\.q_state must be finite and >= 0",
         ),
         (
             lambda c: setattr(c, "noise", NoiseConfig(r_line=float("inf"))),

@@ -322,7 +322,7 @@ def test_discretize_agent_stacks_couplings(threebus, global_model):
     model = discretize_agent(cont, 1e-4)
     assert model.b_x.shape == (4, 3)
     assert model.n_inputs == 1
-    assert model.n_neighbors == 2
+    assert len(model.couplings) == 2
     assert model.labels == ["V1", "Ig1", "I1_2", "I1_3"]
     # discrete local dynamics must be stable on their own (passive slice)
     assert np.max(np.abs(np.linalg.eigvals(model.a))) < 1.0
