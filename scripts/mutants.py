@@ -93,8 +93,8 @@ MUTANTS = [
     (
         "loose settle tolerance",
         "src/dcmg/sim.py",
-        "rtol = 4 * model.n * np.finfo(float).eps if",
-        "rtol = 1e-6 if",
+        "    rtol = 4 * model.n * np.finfo(float).eps\n",
+        "    rtol = 1e-6\n",
     ),
     (
         "state_sign dropped from x0",
@@ -202,6 +202,24 @@ MUTANTS = [
         "np.abs(means[1:])",
     ),
     ("bus-key form unchecked", "src/dcmg/cli.py", "if str(bus) != key:", "if False:"),
+    (
+        "one squaring fewer",
+        "src/dcmg/lti.py",
+        "    for _ in range(s):\n        r = r @ r\n",
+        "    for _ in range(s - 1):\n        r = r @ r\n",
+    ),
+    (
+        "degree 9 up to the degree-13 bound",
+        "src/dcmg/lti.py",
+        "    9: 2.097847961257068,\n",
+        "    9: 5.371920351148152,\n",
+    ),
+    (
+        "singular innovation left to the LU's pivots",
+        "src/dcmg/uio.py",
+        "    if not lam[0] > 4 * n * np.finfo(float).eps * lam[-1]:\n        raise singular\n",
+        "",
+    ),
     (
         "row_blocks without the one-row fold",
         "src/dcmg/lti.py",

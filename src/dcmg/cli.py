@@ -169,8 +169,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 # loading decodes and checks the fields (validate_config) but builds no
-# model, so it never imports scipy; sim.prepare builds the models, for
-# ``--validate-only`` and at the start of every run
+# model; sim.prepare builds the models, for ``--validate-only`` and at the
+# start of every run
 def load_config(
     path, seed: int | None = None, ts: float | None = None
 ) -> ScenarioConfig:

@@ -13,6 +13,7 @@ which costs half the multiply-adds of the pair product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +64,74 @@ class DiscreteModel:
     ts: float
 
 
+def _pade_coefficients(q: int) -> list[float]:
+    """b_0..b_q of the degree-q Pade approximant to exp,
+    r(x) = sum b_j x^j / sum b_j (-x)^j, scaled so that b_q = 1."""
+    f = math.factorial
+    return [float(f(2 * q - j) // (f(q - j) * f(j))) for j in range(q + 1)]
+
+
+# the largest bound on ||m^k||^(1/k) at which each Pade degree meets double
+# precision, in ascending order (Higham 2005, Table 2.3)
+PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068,
+    13: 5.371920351148152,
+}
+
+
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a square matrix (scaling-and-squaring with a Pade core)."""
+    """exp(m) of a square matrix, by scaling and squaring a Pade
+    approximant of degree 3, 5, 7, 9 or 13 (Higham 2005, SIAM J. Matrix
+    Anal. Appl. 26(4); Al-Mohy & Higham 2009, ibid. 31(3)).
+
+    The degree and the number of squarings s follow from d_k =
+    ||m^k||_1^(1/k) for k = 4 to 10, which bound the series' terms more
+    tightly than ||m||_1 when m is far from normal.  The even powers are
+    formed from m itself and then scaled by 2^(-ks), as Al-Mohy & Higham
+    do, so an m whose powers overflow float64 gives a non-finite result
+    instead of a finite guess."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix exponential of a non-finite matrix")
-    # imported here: scipy.linalg takes most of ``import dcmg``'s time, and
-    # loading or validating a scenario never needs it
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = m @ m
+        m4 = m2 @ m2
+        powers = [np.eye(len(m)), m2, m4, m4 @ m2, m4 @ m4]  # up to m^8
+        d4, d6, d8, d10 = (
+            np.linalg.norm(p, 1) ** (1 / k)
+            for p, k in ((m4, 4), (powers[3], 6), (powers[4], 8), (m4 @ powers[3], 10))
+        )
+    eta = {3: max(d4, d6), 5: max(d4, d6), 7: max(d6, d8), 9: max(d6, d8)}
+    degree = next((q for q, bound in eta.items() if bound <= PADE_THETA[q]), 13)
+    s = 0
+    if degree < 13:
+        b = _pade_coefficients(degree)
+        u = m @ sum(c * p for c, p in zip(b[1::2], powers))
+        v = sum(c * p for c, p in zip(b[::2], powers))
+    else:
+        bound = min(max(d6, d8), max(d8, d10))
+        if not np.isfinite(bound):
+            return np.full_like(m, np.inf)
+        s = max(0, math.ceil(math.log2(bound / PADE_THETA[13])))
+        ident, m2, m4, m6 = (np.ldexp(p, -2 * k * s) for k, p in enumerate(powers[:4]))
+        b = _pade_coefficients(13)
+        u = np.ldexp(m, -s) @ (
+            m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+            + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident
+        )
+        v = (
+            m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
+            + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident
+        )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def discretize_zoh(

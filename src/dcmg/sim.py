@@ -172,6 +172,8 @@ class ScenarioConfig:
     source_schedule: dict[int, list[SourceStep]] = field(default_factory=dict)
     attacks: list[AttackSpec] = field(default_factory=list)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
+    # accepted and read by nothing: every group settles at one tolerance
+    # (``_run_observer``)
     freeze_gains: bool = True
 
 
@@ -484,7 +486,6 @@ def _run_observer(
     y: np.ndarray,
     u_x: np.ndarray,
     residuals: list[np.ndarray],
-    freeze_gains: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the observers of a group of agents whose models all equal
     ``model`` over the whole horizon.
@@ -502,10 +503,9 @@ def _run_observer(
     and advances every row of z with its gains.  Row k + 1 of z holds the
     drive T B_x u_k before step k adds F z_k + (K1 + K2) y_k.  Pi settles
     at one fixed point, and the recursion stops on the first step whose
-    update moves it by at most a tolerance, max|Pi' - Pi| <= tol: with
-    ``freeze_gains``, tol = 4 n eps max|Pi| (eps the float64 machine
-    epsilon); without it, tol = 0, so Pi' must equal Pi bit for bit.  The
-    rest of the horizon then runs with that step's gains, for every row,
+    update moves it by at most 4 n eps max|Pi| (eps the float64 machine
+    epsilon): rounding can leave Pi cycling in its last bits, so it is
+    never asked to repeat bit for bit.  The rest of the horizon then runs with that step's gains, for every row,
     as one ``lti.propagate_into``, within 1e-13 max|x^| of stepping on with
     them.  A recursion that never settles steps to the horizon.  The
     products with y (the settled tail's drive, then x^ = z + H y) go a
@@ -519,7 +519,7 @@ def _run_observer(
     z[:, 0] = y[:, 0] - (h @ y[:, 0, :, None])[..., 0]
     np.matmul(u_x[:, :n_steps], (t @ model.b_x).T, out=z[:, 1:])
     pi = t @ model.r @ t.T
-    rtol = 4 * model.n * np.finfo(float).eps if freeze_gains else 0.0
+    rtol = 4 * model.n * np.finfo(float).eps
     for k in range(n_steps):
         gains, pi_next = gain_step(model, pi)
         f, k_sum = gains.f, gains.k1 + gains.k2
@@ -712,9 +712,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     x_hat, sigma = [], []
     for group, y_block, block in zip(groups, y, inputs):
         model = models[group[0]]
-        xh, pi = _run_observer(
-            model, y_block, block, [residuals[i] for i in group], config.freeze_gains
-        )
+        xh, pi = _run_observer(model, y_block, block, [residuals[i] for i in group])
         x_hat.append(xh)
         # C = I: r = eps + M v with M = I - H, eps independent of v
         m = np.eye(model.m) - model.structural[0]

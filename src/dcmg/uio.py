@@ -192,17 +192,24 @@ def gain_step(model: AgentModel, pi: np.ndarray) -> tuple[ObserverGains, np.ndar
     h, t = model.structural
     r = model.r
     p = pi + hrh
+    s = p + r
+    singular = SingularInnovation(
+        f"agent {model.agent_id}: innovation covariance is singular"
+    )
     try:
         # K1 = (T A) P S^{-1}, via a solve on the symmetric S = P + R
-        k1 = np.linalg.solve(p + r, (ta @ p).T).T
+        k1 = np.linalg.solve(s, (ta @ p).T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(
-            f"agent {model.agent_id}: innovation covariance is singular"
-        ) from exc
+        raise singular from exc
     if not np.isfinite(k1).all():
         raise SingularInnovation(
             f"agent {model.agent_id}: innovation solve produced non-finite gains"
         )
+    # S is positive semidefinite, so it is also singular when its smallest
+    # eigenvalue is within rounding of 0, whatever pivots the LU rounded to
+    lam = np.linalg.eigvalsh(s)
+    if not lam[0] > 4 * n * np.finfo(float).eps * lam[-1]:
+        raise singular
     f = ta - k1
     k2 = f @ h
     k = k1 + k2

@@ -122,6 +122,25 @@ def test_loading_a_scenario_imports_no_scipy_executor_or_logging():
     assert proc.stdout == "\n"
 
 
+def test_a_run_imports_no_scipy(tmp_path):
+    # a run, export included, needs numpy alone: scipy is a test oracle
+    path, out_dir = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(_cut([])))
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import dcmg.cli\n"
+        f"code = dcmg.cli.run({str(path)!r}, {str(out_dir)!r}, quiet=True)\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+    assert (out_dir / "trace.csv").stat().st_size > 0
+
+
 @pytest.mark.parametrize("config", [bundled_scenario(), gnarly_scenario()])
 def test_round_trip_through_json(config):
     text = cli.write_config(config)
@@ -940,7 +959,7 @@ def test_run_working_set_beyond_the_trace_does_not_grow_with_the_horizon(
         assert code == 0, err
         return {name: peaks[name] - trace_nbytes(traces[0]) for name in stages}
 
-    excess(0.05)  # the first run imports scipy; leave that out
+    excess(0.05)  # the first run loads what a run imports; leave that out
     short, long = excess(0.4), excess(1.2)
     for name in stages:
         assert long[name] - short[name] < 2**18, (name, short, long)

@@ -2,13 +2,18 @@ import importlib
 import pkgutil
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dcmg
+import dcmg.lti as lti
+import dcmg.sim as sim
+from dcmg.cli import scenario_from_dict
 from dcmg.errors import (
     DimensionMismatch,
     NonFinite,
@@ -29,6 +34,7 @@ from dcmg.lti import (
 from oracles import expm_series, propagate_loop, zoh_series
 
 RNG = np.random.default_rng(20240817)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,63 @@ def test_expm_inverse_property():
             m *= norm / np.linalg.norm(m, 2)
             prod = matrix_exponential(m) @ matrix_exponential(-m)
             assert np.max(np.abs(prod - np.eye(5))) < tol
+
+
+def test_expm_matches_scipy_on_every_workload_model(monkeypatch):
+    # the augmented ZOH matrix of every agent and plant of the benchmark's
+    # workloads, against scipy's independent implementation
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    seen = []
+
+    def recorded(m):
+        seen.append(m)
+        return matrix_exponential(m)
+
+    monkeypatch.setattr(lti, "matrix_exponential", recorded)
+    for workload in workloads.WORKLOADS:
+        sim.prepare(scenario_from_dict(workloads.make_scenario(workload, 1, ROOT)))
+    assert len(seen) >= len(workloads.WORKLOADS) * 2
+    for m in seen:
+        ref = scipy.linalg.expm(m)
+        assert np.max(np.abs(matrix_exponential(m) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # 1-norms up to 1, where neither side squares.  Above that, scipy's own
+    # error on such matrices reaches 1e-12 relative (against a 40-digit
+    # reference), so the next test takes over with an exact reference
+    for norm in np.logspace(-3, 0, 16):
+        for n in (2, 5, 9):
+            m = RNG.standard_normal((n, n))
+            m *= norm / np.linalg.norm(m, 1)
+            ref = scipy.linalg.expm(m)
+            assert np.max(np.abs(matrix_exponential(m) - ref)) <= 1e-14 * np.max(
+                np.abs(ref)
+            )
+
+
+def test_expm_matches_closed_form_on_normal_matrices():
+    # m = Q D Q^T, Q orthogonal and D of 1x1 blocks and 2x2 blocks
+    # [[a, w], [-w, a]], whose exponentials are e^a and e^a times a
+    # rotation by w.  exp's relative condition number at a normal m is
+    # ||m||_2, so above 1-norm 1 the bound grows with the norm
+    for norm in np.logspace(-3, 2, 21):
+        for n in (2, 5, 9):
+            q = np.linalg.qr(RNG.standard_normal((n, n)))[0]
+            d = np.diag(RNG.uniform(-1.0, 1.0, n))
+            for j in range(0, n - 1, 2):
+                w = RNG.uniform(-1.0, 1.0)
+                d[j + 1, j + 1] = d[j, j]
+                d[j, j + 1], d[j + 1, j] = w, -w
+            d *= norm / np.linalg.norm(q @ d @ q.T, 1)
+            ed = np.diag(np.exp(np.diag(d)))
+            for j in range(0, n - 1, 2):
+                c, s = np.cos(d[j, j + 1]), np.sin(d[j, j + 1])
+                ed[j : j + 2, j : j + 2] = ed[j, j] * np.array([[c, s], [-s, c]])
+            ref = q @ ed @ q.T
+            bound = 1e-14 * max(1.0, norm) * np.max(np.abs(ref))
+            assert np.max(np.abs(matrix_exponential(q @ d @ q.T) - ref)) <= bound
 
 
 def test_expm_rejects_nonsquare_and_nonfinite():

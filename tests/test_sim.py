@@ -278,23 +278,23 @@ def test_attack_inside_warmup_is_attributed_after_it():
 # per-agent loop
 
 
-def settle_rtol(model, freeze_gains):
+def settle_rtol(model):
     """The engine's settle tolerance relative to max|Pi|, written out."""
-    return 4 * model.n * np.finfo(float).eps if freeze_gains else 0.0
+    return 4 * model.n * np.finfo(float).eps
 
 
 @pytest.mark.parametrize(
-    "ids, scales, freeze_gains, groups",
+    "ids, scales, settles, groups",
     [
         # scaled noise figures give the three agents models of their own,
         # whose gains settle at different steps
         pytest.param(
             (1, 2, 3), (1.0, 30.0, 0.3), True, ((0,), (1,), (2,)), id="True"
         ),
-        # no Pi of these three models settles exactly within the horizon,
-        # so each group steps every step
+        # no Pi of these three models settles within the 300 steps, so each
+        # group steps every step
         pytest.param(
-            (1, 2, 3), (0.3, 0.1, 0.05), False, ((0,), (1,), (2,)), id="False"
+            (1, 2, 3), (0.1, 0.05, 0.03), False, ((0,), (1,), (2,)), id="False"
         ),
         # agents 1 and 3 are identical: one group runs rows 0 and 2
         pytest.param(
@@ -307,7 +307,7 @@ def settle_rtol(model, freeze_gains):
     ],
 )
 def test_batched_observer_matches_per_agent_loop(
-    agent_models, ids, scales, freeze_gains, groups
+    agent_models, ids, scales, settles, groups
 ):
     rng = np.random.default_rng(11)
     models = [
@@ -322,44 +322,43 @@ def test_batched_observer_matches_per_agent_loop(
     for group in groups:
         rows = list(group)
         x_hat, pi_end = _run_observer(
-            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows]
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, pi_ref, k_ref = observer_loop(
-                models[j],
-                y[j],
-                u_x[j],
-                settle_rtol(models[j], freeze_gains),
-                propagate_into,
+                models[j], y[j], u_x[j], settle_rtol(models[j]), propagate_into
             )
             assert np.array_equal(x_hat[row], xh_ref)
             assert np.array_equal(res[j], res_ref)
             assert np.array_equal(pi_end, pi_ref)
             settled_at.append(k_ref)
-    assert (None in settled_at) != freeze_gains
+    # every group settles within the horizon, or none does
+    assert {k is None for k in settled_at} == {not settles}
 
 
-@pytest.mark.parametrize("freeze_gains", [True, False])
-def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, freeze_gains):
+@pytest.mark.parametrize("settles", [True, False])
+def test_blocked_observer_matches_per_agent_loop(agent_models, monkeypatch, settles):
     # blocks of 7 rows per agent: the settled tail's drive, the estimates
     # and the residuals go a block at a time, bit for bit as in one piece;
-    # only the first block starts from x^_0 = y_0
+    # only the first block starts from x^_0 = y_0.  The gains settle on
+    # step 51, after the shorter horizon
     monkeypatch.setattr(lti, "BLOCK_BYTES", 7 * 4 * 8)
     rng = np.random.default_rng(12)
-    model, n_steps = agent_models[1], 305
+    model, n_steps = agent_models[1], 305 if settles else 47
     y = 12_000.0 + 40.0 * rng.standard_normal((2, n_steps + 1, 4))
     u_x = 12_000.0 + 40.0 * rng.standard_normal((2, n_steps, 3))
     res = np.empty_like(y)
-    x_hat, pi_end = _run_observer(model, y, u_x, list(res), freeze_gains)
+    x_hat, pi_end = _run_observer(model, y, u_x, list(res))
     for j in range(2):
         xh_ref, res_ref, pi_ref, k_ref = observer_loop(
-            model, y[j], u_x[j], settle_rtol(model, freeze_gains), propagate_into
+            model, y[j], u_x[j], settle_rtol(model), propagate_into
         )
         # the rows and the settled tail each end in a partial block, of
         # more than one row (numpy forms a one-row product by another BLAS
         # routine, which may round differently)
-        assert k_ref is not None
-        assert (n_steps + 1) % 7 > 1 and (n_steps - k_ref) % 7 > 1
+        assert (k_ref is not None) == settles
+        assert (n_steps + 1) % 7 > 1
+        assert k_ref is None or (n_steps - k_ref) % 7 > 1
         assert np.array_equal(x_hat[j], xh_ref)
         assert np.array_equal(res[j], res_ref)
         assert np.array_equal(pi_end, pi_ref)
@@ -397,36 +396,34 @@ def test_run_in_blocks_matches_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "scales, freeze_gains, n_steps, groups, settles",
+    "scales, n_steps, groups, settles",
     [
-        # Pi of the unscaled model repeats exactly on step 57
+        # Pi of the unscaled model settles on step 51
         pytest.param(
-            (1.0, 1.0, 1.0), False, 2000, ((0, 1, 2),), "all",
-            id="equal-models",
+            (1.0, 1.0, 1.0), 2000, ((0, 1, 2),), "all", id="equal-models"
         ),
-        # Pi of the three models repeats on steps 57 and 6, and never
+        # Pi of the three models settles on steps 51, 5 and 167
         pytest.param(
-            (1.0, 30.0, 0.3), False, 2000, ((0,), (1,), (2,)), "some",
-            id="scaled-models",
+            (1.0, 30.0, 0.3), 2000, ((0,), (1,), (2,)), "apart", id="scaled-models"
         ),
-        # the repeat comes on the last step, whose tail is one step
+        # the settle comes on the last step, whose tail is one step
         pytest.param(
-            (1.0, 1.0, 1.0), False, 58, ((0, 1, 2),), "last", id="hit-on-last-step"
+            (1.0, 1.0, 1.0), 52, ((0, 1, 2),), "last", id="hit-on-last-step"
         ),
-        # every agent has its own gains: Pi of agent 2 repeats on step 58,
-        # those of agents 1 and 3 never
+        # every agent has its own gains: Pi of agent 2 settles on step 51,
+        # those of agents 1 and 3 on step 52
         pytest.param(
-            None, False, 2000, ((0,), (1,), (2,)), "some", id="heterogeneous"
+            None, 2000, ((0,), (1,), (2,)), "apart", id="heterogeneous"
         ),
         # the horizon ends before the gains settle on step 51, so the
         # recursion steps to the end
         pytest.param(
-            (1.0, 1.0, 1.0), True, 40, ((0, 1, 2),), "none", id="never-settles"
+            (1.0, 1.0, 1.0), 40, ((0, 1, 2),), "none", id="never-settles"
         ),
     ],
 )
 def test_settle_step_and_gain_step_calls_match_per_agent_loop(
-    agent_models, monkeypatch, scales, freeze_gains, n_steps, groups, settles
+    agent_models, monkeypatch, scales, n_steps, groups, settles
 ):
     # once Pi settles, its gains repeat with period 1: the engine runs the
     # rest of the horizon with them, instead of calling gain_step, and
@@ -454,7 +451,7 @@ def test_settle_step_and_gain_step_calls_match_per_agent_loop(
         rows = list(group)
         calls.clear()
         x_hat, pi_end = _run_observer(
-            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows], freeze_gains
+            models[rows[0]], y[rows], u_x[rows], [res[j] for j in rows]
         )
         for row, j in enumerate(rows):
             xh_ref, res_ref, _, _ = observer_loop(
@@ -465,19 +462,15 @@ def test_settle_step_and_gain_step_calls_match_per_agent_loop(
             assert np.max(np.abs(res[j] - res_ref)) <= bound
             # the settle step of the loop with the engine's rule
             *_, pi_ref, k_ref = observer_loop(
-                models[j],
-                y[j],
-                u_x[j],
-                settle_rtol(models[j], freeze_gains),
-                propagate_into,
+                models[j], y[j], u_x[j], settle_rtol(models[j]), propagate_into
             )
             assert np.array_equal(pi_end, pi_ref)
         assert len(calls) == (n_steps if k_ref is None else k_ref + 1)
         settled_at.append(k_ref)
     if settles == "all":
         assert None not in settled_at and max(settled_at) < n_steps - 1
-    elif settles == "some":
-        assert None in settled_at and set(settled_at) != {None}
+    elif settles == "apart":
+        assert None not in settled_at and len(set(settled_at)) > 1
     elif settles == "last":
         assert settled_at == [n_steps - 1]
     else:
@@ -492,7 +485,7 @@ def heterogeneous_models():
     ]
 
 
-def observer_every_step(model, y, u_x, residuals, freeze_gains):
+def observer_every_step(model, y, u_x, residuals):
     """``_run_observer`` of a group, met by the per-agent loop stepping
     every step."""
     n_steps = y.shape[1] - 1
@@ -569,7 +562,7 @@ def test_path_network_splits_into_groups_matching_per_agent_loop(monkeypatch):
                 model,
                 trace.y[i],
                 u_x,
-                settle_rtol(model, cfg.freeze_gains),
+                settle_rtol(model),
                 propagate_into,
             )
             assert np.array_equal(trace.x_hat[i], xh_ref)
@@ -853,7 +846,7 @@ def test_working_set_beyond_the_trace_does_not_grow_with_the_horizon():
             tracemalloc.stop()
         return peak - trace_nbytes(trace)
 
-    excess(0.05)  # the first run imports scipy; leave that out
+    excess(0.05)  # the first run loads what a run imports; leave that out
     short, long = excess(0.4), excess(1.2)
     assert long - short < 2**18, (short, long)
 

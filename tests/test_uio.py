@@ -227,18 +227,18 @@ def test_gain_step_needs_identity_measurement(agent_models, c):
 # observer recursion
 
 
-def run_observer(model, y, u_x, freeze_gains):
+def run_observer(model, y, u_x):
     """(x_hat, residuals, final P) of the simulator's observer engine run
     on a group of one agent."""
     res = np.empty_like(y)
-    x_hat, p = sim._run_observer(model, y[None], u_x[None], [res], freeze_gains)
+    x_hat, p = sim._run_observer(model, y[None], u_x[None], [res])
     return x_hat[0], res, p
 
 
 def test_zero_everything_stays_zero(agent_models):
     model = agent_models[1]
     x_hat, res, _ = run_observer(
-        model, np.zeros((11, model.m)), np.zeros((10, model.b_x.shape[1])), False
+        model, np.zeros((11, model.m)), np.zeros((10, model.b_x.shape[1]))
     )
     assert np.array_equal(x_hat, np.zeros((11, model.n)))
     assert np.array_equal(res, np.zeros((11, model.m)))
@@ -261,7 +261,7 @@ def test_matched_cosimulation_decouples_loads(agent_models):
     x[0, 0] = 12_000.0
     for k in range(n_steps):
         x[k + 1] = model.a @ x[k] + model.b_x @ u_x[k] + model.e[:, 0] * d[k]
-    _, res, _ = run_observer(model, x, u_x, False)
+    _, res, _ = run_observer(model, x, u_x)
     assert np.max(np.abs(res)) < 1e-6
 
 
@@ -287,7 +287,7 @@ def test_steady_bias_matches_linear_solve(agent_models):
     # the observer starts at x, freezes its gains and then settles
     n_steps = 500
     _, res, _ = run_observer(
-        model, np.tile(x, (n_steps + 1, 1)), np.tile(u_x + bias, (n_steps, 1)), True
+        model, np.tile(x, (n_steps + 1, 1)), np.tile(u_x + bias, (n_steps, 1))
     )
 
     e_bar = np.linalg.solve(
