@@ -115,7 +115,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         v = sum(c * p for c, p in zip(b[::2], powers))
     else:
         bound = min(max(d6, d8), max(d8, d10))
-        if not np.isfinite(bound):
+        if not np.isfinite(bound):  # the powers overflow: no result
             return np.full_like(m, np.inf)
         s = max(0, math.ceil(math.log2(bound / PADE_THETA[13])))
         ident, m2, m4, m6 = (np.ldexp(p, -2 * k * s) for k, p in enumerate(powers[:4]))

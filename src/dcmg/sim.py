@@ -505,11 +505,12 @@ def _run_observer(
     at one fixed point, and the recursion stops on the first step whose
     update moves it by at most 4 n eps max|Pi| (eps the float64 machine
     epsilon): rounding can leave Pi cycling in its last bits, so it is
-    never asked to repeat bit for bit.  The rest of the horizon then runs with that step's gains, for every row,
-    as one ``lti.propagate_into``, within 1e-13 max|x^| of stepping on with
-    them.  A recursion that never settles steps to the horizon.  The
-    products with y (the settled tail's drive, then x^ = z + H y) go a
-    block of one agent's rows (``lti.row_blocks``) at a time.
+    never asked to repeat bit for bit.  The rest of the horizon then runs
+    with that step's gains, for every row, as one ``lti.propagate_into``,
+    within 1e-13 max|x^| of stepping on with them.  A recursion that
+    never settles steps to the horizon.  The products with y (the settled
+    tail's drive, then x^ = z + H y) go a block of one agent's rows
+    (``lti.row_blocks``) at a time.
     """
     g, n_steps = y.shape[0], y.shape[1] - 1
     h, t = model.structural
